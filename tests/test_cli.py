@@ -1,9 +1,18 @@
 import io
 import json
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
+import pytest
+
+from torus_cables import transverse
 from torus_cables.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def invoke(*argv):
@@ -178,3 +187,41 @@ def test_console_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "upper 2/1, lower 3/2\n"
+
+
+def _fail_last_claim(check):
+    def wrapped(*args):
+        claims = check(*args)
+        return claims[:-1] + [replace(claims[-1], passed=False)]
+
+    return wrapped
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_corpus(case, monkeypatch):
+    # Every (command, op) in text and --json, the exit-1 domain errors, the
+    # exit-2 missing arguments, and verify exiting 1 on a failed claim (the
+    # suites pass on every valid input, so those cases fail the last claim).
+    if case.get("fail_last_claim"):
+        for name in ("_check_qual1", "_check_qual2", "_check_qual4"):
+            monkeypatch.setattr(transverse, name, _fail_last_claim(getattr(transverse, name)))
+    assert invoke(*case["argv"]) == (case["code"], case["out"], case["err"])
+
+
+def _readme_examples():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command-line usage", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for chunk in block.split("\n\n"):
+        command, _, output = chunk.partition("\n")
+        assert command.startswith("$ torus-cables "), command
+        examples.append((shlex.split(command)[2:], output.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples_replay():
+    examples = _readme_examples()
+    assert len(examples) == 8
+    for argv, expected in examples:
+        code, out, _ = invoke(*argv)
+        assert (code, out) == (0, expected), argv
