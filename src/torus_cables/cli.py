@@ -2,8 +2,18 @@
 
 Every engine is exposed as a one-shot query with a text report on stdout
 and an optional JSON rendering (--json).  Exit status: 0 on success, 1 on
-domain errors (one-line diagnostic on stderr), 2 on usage errors.  All
-slopes are printed as exact "num/den" strings; no floating point anywhere.
+domain errors (one-line diagnostic on stderr) or failed verification
+claims, 2 on usage errors.  All slopes are printed as exact "num/den"
+strings; no floating point anywhere.
+
+``COMMANDS`` is the whole command set: it maps ``(command, op)`` -- the
+``farey`` op, the ``tori`` action, or None -- to a handler and to the
+arguments that entry needs beyond what argparse enforces.  A handler takes
+the parsed arguments and returns ``(payload, text)``, plus an exit code for
+``verify``; it neither writes output nor reads ``--json``.  ``run`` is the
+one emitter: it reports a missing argument (exit 2), turns a ValueError
+into ``error: ...`` on stderr (exit 1), and prints the payload as JSON or
+the text.
 """
 
 from __future__ import annotations
@@ -151,234 +161,237 @@ def render_mountain(mr: MountainRange) -> str:
     return "\n".join(lines)
 
 
-def _print(out, text: str) -> None:
-    out.write(text if text.endswith("\n") else text + "\n")
+def _knot(spec: TorusKnotSpec) -> dict:
+    return {"p": spec.p, "q": spec.q}
 
 
-def _cmd_farey(args, out) -> int:
-    op = args.op
-    if op == "neighbors":
-        if args.den_bound is not None:
-            upper, lower = neighbors_oracle(args.a, args.den_bound)
-        else:
-            upper, lower = neighbors(args.a)
-        if args.json:
-            _print(out, _dump({"slope": str(args.a), "upper": str(upper), "lower": str(lower)}))
-        else:
-            _print(out, f"upper {upper}, lower {lower}")
-    elif op == "cf":
-        cf = cf_expand(args.a)
-        if args.json:
-            _print(out, _dump({"slope": str(args.a), "coefficients": list(cf.coeffs)}))
-        else:
-            _print(out, str(cf))
-    elif op == "mediant":
-        m = mediant(args.a, args.b)
-        if args.json:
-            _print(out, _dump({"a": str(args.a), "b": str(args.b), "mediant": str(m)}))
-        else:
-            _print(out, str(m))
-    elif op == "combine":
-        c = farey_combine(args.a, args.b, args.m, args.n)
-        if args.json:
-            _print(out, _dump({"a": str(args.a), "b": str(args.b), "m": args.m, "n": args.n, "result": str(c)}))
-        else:
-            _print(out, str(c))
-    elif op == "edge":
-        res = is_edge(args.a, args.b)
-        if args.json:
-            _print(out, _dump({"a": str(args.a), "b": str(args.b), "edge": res}))
-        else:
-            _print(out, "edge" if res else "no edge")
-    elif op == "intersect":
-        v = intersect(args.a, args.b)
-        if args.json:
-            _print(out, _dump({"a": str(args.a), "b": str(args.b), "intersection": v}))
-        else:
-            _print(out, str(v))
-    return 0
+def _farey_neighbors(args):
+    if args.den_bound is not None:
+        upper, lower = neighbors_oracle(args.a, args.den_bound)
+    else:
+        upper, lower = neighbors(args.a)
+    payload = {"slope": str(args.a), "upper": str(upper), "lower": str(lower)}
+    return payload, f"upper {upper}, lower {lower}"
 
 
-def _cmd_bypass(args, out) -> int:
+def _farey_cf(args):
+    cf = cf_expand(args.a)
+    return {"slope": str(args.a), "coefficients": list(cf.coeffs)}, str(cf)
+
+
+def _farey_mediant(args):
+    m = mediant(args.a, args.b)
+    return {"a": str(args.a), "b": str(args.b), "mediant": str(m)}, str(m)
+
+
+def _farey_combine(args):
+    c = farey_combine(args.a, args.b, args.m, args.n)
+    payload = {"a": str(args.a), "b": str(args.b), "m": args.m, "n": args.n, "result": str(c)}
+    return payload, str(c)
+
+
+def _farey_edge(args):
+    res = is_edge(args.a, args.b)
+    return {"a": str(args.a), "b": str(args.b), "edge": res}, "edge" if res else "no edge"
+
+
+def _farey_intersect(args):
+    v = intersect(args.a, args.b)
+    return {"a": str(args.a), "b": str(args.b), "intersection": v}, str(v)
+
+
+def _bypass(args):
     state = bypass_mod.TorusState(dividing=args.dividing, ruling=args.ruling)
     if args.den_bound is not None:
         result = bypass_mod.attach_bypass_oracle(state, args.side, args.den_bound)
     else:
         result = bypass_mod.attach_bypass(state, args.side)
-    if args.json:
-        _print(out, _dump({
-            "dividing": str(args.dividing),
-            "ruling": str(args.ruling),
-            "side": args.side,
-            "new_dividing": str(result),
-        }))
-    else:
-        _print(out, f"new dividing slope {result}")
-    return 0
+    payload = {
+        "dividing": str(args.dividing),
+        "ruling": str(args.ruling),
+        "side": args.side,
+        "new_dividing": str(result),
+    }
+    return payload, f"new dividing slope {result}"
 
 
-def _cmd_tori(args, out) -> int:
+def _tori_census(args):
     spec = TorusKnotSpec(*args.pq)
-    action = args.action
-    if action == "census":
-        rec = tori_census(spec, args.slope)
-        if args.json:
-            _print(out, _dump({
-                "knot": {"p": spec.p, "q": spec.q},
-                "slope": str(args.slope),
-                "torus_count": rec.torus_count,
-                "standard_count": rec.standard_count,
-                "dividing_curve_pairs": rec.dividing_curve_pairs,
-                "note": rec.note,
-            }))
-        else:
-            _print(out, f"{rec.torus_count} tori, {rec.standard_count} standard; {rec.note}")
-    elif action == "profile":
-        prof = nonthickenable_profile(spec, args.k)
-        if args.json:
-            _print(out, _dump({
-                "knot": {"p": spec.p, "q": spec.q},
-                "k": prof.index,
-                "n_k": prof.n_k,
-                "dividing_curves": prof.dividing_curves,
-                "torus_count": prof.torus_count,
-            }))
-        else:
-            _print(out, f"{prof.torus_count} non-thickenable tori with "
-                   f"{prof.dividing_curves} dividing curves (n_k = {prof.n_k})")
-    elif action == "locate":
-        region = locate(spec, args.slope)
-        if args.json:
-            _print(out, _dump({
-                "knot": {"p": spec.p, "q": spec.q},
-                "slope": str(args.slope),
-                "region": region.kind,
-                "index": region.index,
-            }))
-        else:
-            _print(out, str(region))
-    elif action == "interval":
-        iv = influence_interval(spec, args.n)
-        if args.json:
-            _print(out, _dump({
-                "knot": {"p": spec.p, "q": spec.q},
-                "n": iv.index,
-                "e_n": str(iv.center),
-                "e_n_a": str(iv.upper),
-                "e_n_c": str(iv.lower),
-            }))
-        else:
-            _print(out, f"e = {iv.center}, upper {iv.upper}, lower {iv.lower}")
-    elif action == "width":
-        w = width(spec)
-        if args.json:
-            _print(out, _dump({"knot": {"p": spec.p, "q": spec.q}, "width": w}))
-        else:
-            _print(out, str(w))
-    elif action == "indices":
-        idx = sorted(exceptional_indices(spec, args.bound))
-        if args.json:
-            _print(out, _dump({"knot": {"p": spec.p, "q": spec.q}, "bound": args.bound, "indices": idx}))
-        else:
-            _print(out, " ".join(str(i) for i in idx))
-    return 0
+    rec = tori_census(spec, args.slope)
+    payload = {
+        "knot": _knot(spec),
+        "slope": str(args.slope),
+        "torus_count": rec.torus_count,
+        "standard_count": rec.standard_count,
+        "dividing_curve_pairs": rec.dividing_curve_pairs,
+        "note": rec.note,
+    }
+    return payload, f"{rec.torus_count} tori, {rec.standard_count} standard; {rec.note}"
+
+
+def _tori_profile(args):
+    spec = TorusKnotSpec(*args.pq)
+    prof = nonthickenable_profile(spec, args.k)
+    payload = {
+        "knot": _knot(spec),
+        "k": prof.index,
+        "n_k": prof.n_k,
+        "dividing_curves": prof.dividing_curves,
+        "torus_count": prof.torus_count,
+    }
+    return payload, (f"{prof.torus_count} non-thickenable tori with "
+                     f"{prof.dividing_curves} dividing curves (n_k = {prof.n_k})")
+
+
+def _tori_locate(args):
+    spec = TorusKnotSpec(*args.pq)
+    region = locate(spec, args.slope)
+    payload = {
+        "knot": _knot(spec),
+        "slope": str(args.slope),
+        "region": region.kind,
+        "index": region.index,
+    }
+    return payload, str(region)
+
+
+def _tori_interval(args):
+    spec = TorusKnotSpec(*args.pq)
+    iv = influence_interval(spec, args.n)
+    payload = {
+        "knot": _knot(spec),
+        "n": iv.index,
+        "e_n": str(iv.center),
+        "e_n_a": str(iv.upper),
+        "e_n_c": str(iv.lower),
+    }
+    return payload, f"e = {iv.center}, upper {iv.upper}, lower {iv.lower}"
+
+
+def _tori_width(args):
+    spec = TorusKnotSpec(*args.pq)
+    w = width(spec)
+    return {"knot": _knot(spec), "width": w}, str(w)
+
+
+def _tori_indices(args):
+    spec = TorusKnotSpec(*args.pq)
+    idx = sorted(exceptional_indices(spec, args.bound))
+    payload = {"knot": _knot(spec), "bound": args.bound, "indices": idx}
+    return payload, " ".join(str(i) for i in idx)
 
 
 def _cable(args) -> CableSpec:
-    spec = TorusKnotSpec(*args.pq)
-    return CableSpec(spec, *args.rs)
+    return CableSpec(TorusKnotSpec(*args.pq), *args.rs)
 
 
-def _cmd_classify(args, out) -> int:
+def _classify(args):
     cls = classify(_cable(args))
-    if args.json:
-        _print(out, _dump(classification_payload(cls)))
-        return 0
     p = cls.parameters
-    _print(out, f"cable {cls.cable} (slope {cls.cable.slope}), case {cls.region}")
-    _print(out, f"tb_max {p.tb_max}, simple {str(cls.simple).lower()}")
+    lines = [
+        f"cable {cls.cable} (slope {cls.cable.slope}), case {cls.region}",
+        f"tb_max {p.tb_max}, simple {str(cls.simple).lower()}",
+    ]
     if p.e_n is not None:
-        _print(out, f"exceptional slope {p.e_n}, interval ({p.e_n_c}, {p.e_n_a})")
+        lines.append(f"exceptional slope {p.e_n}, interval ({p.e_n_c}, {p.e_n_a})")
     for g in cls.generators:
         extra = ""
         if g.protected:
             extra = f", bound {g.bound}, " + (
                 "destabilizable" if g.destabilizable else "non-destabilizable"
             )
-        _print(out, f"  {g.id}: tb {g.tb}, rot {g.rot}{extra}")
-    return 0
+        lines.append(f"  {g.id}: tb {g.tb}, rot {g.rot}{extra}")
+    return classification_payload(cls), "\n".join(lines)
 
 
-def _cmd_mountain(args, out) -> int:
+def _mountain(args):
     cls = classify(_cable(args))
     mr = mountain_range(cls, args.tb_floor)
-    if args.json:
-        payload = {
-            "cable": classification_payload(cls)["cable"],
-            "tb_floor": mr.tb_floor,
-            "tb_max": mr.tb_max,
-            "counts": [
-                {"rot": rot, "tb": tb, "count": mr.counts[(rot, tb)]}
-                for rot, tb in sorted(mr.counts, key=lambda pt: (-pt[1], pt[0]))
-            ],
-        }
-        _print(out, _dump(payload))
-    else:
-        _print(out, render_mountain(mr))
-    return 0
+    payload = {
+        "cable": classification_payload(cls)["cable"],
+        "tb_floor": mr.tb_floor,
+        "tb_max": mr.tb_max,
+        "counts": [
+            {"rot": rot, "tb": tb, "count": mr.counts[(rot, tb)]}
+            for rot, tb in sorted(mr.counts, key=lambda pt: (-pt[1], pt[0]))
+        ],
+    }
+    return payload, render_mountain(mr)
 
 
-def _cmd_transverse(args, out) -> int:
+def _transverse(args):
     cable = _cable(args)
     cls = classify(cable)
     tcls = quotient_transverse(cls)
-    if args.json:
-        _print(out, _dump(transverse_payload(cls, tcls)))
-        return 0
-    _print(out, f"cable {cable} (slope {cable.slope}), case {cls.region}")
-    _print(out, f"max sl {tcls.max_sl}, transversely simple {str(tcls.simple).lower()}")
+    lines = [
+        f"cable {cable} (slope {cable.slope}), case {cls.region}",
+        f"max sl {tcls.max_sl}, transversely simple {str(tcls.simple).lower()}",
+    ]
     for b in tcls.branches:
         if b.origin == "top":
-            _print(out, f"  top chain from sl {b.sl_top}")
+            lines.append(f"  top chain from sl {b.sl_top}")
         else:
             kind = "destabilizable" if b.destabilizable else "non-destabilizable"
-            _print(out, f"  branch {b.origin}: sl {b.sl_top}, {kind}, merges at sl {b.merge_sl}")
+            lines.append(f"  branch {b.origin}: sl {b.sl_top}, {kind}, merges at sl {b.merge_sl}")
     if cls.region.kind == INFLUENCE_LOWER:
-        _print(out, "  note: branch sl follows tb - rot of its generator; the uniform "
-               f"closed form r*s + r - s*w would sit 2*{intersect(cable.slope, cls.parameters.e_n)} higher")
+        lines.append("  note: branch sl follows tb - rot of its generator; the uniform closed form "
+                     f"r*s + r - s*w would sit 2*{intersect(cable.slope, cls.parameters.e_n)} higher")
     if args.sl_floor is not None:
-        sl = tcls.max_sl
-        while sl >= args.sl_floor:
-            _print(out, f"  sl {sl}: {count_transverse(tcls, sl)} classes")
-            sl -= 2
-    return 0
+        for sl in range(tcls.max_sl, args.sl_floor - 1, -2):
+            lines.append(f"  sl {sl}: {count_transverse(tcls, sl)} classes")
+    return transverse_payload(cls, tcls), "\n".join(lines)
 
 
-def _cmd_verify(args, out) -> int:
+def _verify(args):
     spec = TorusKnotSpec(*args.pq)
     report = verify_qualitative(spec, args.suite, args.k, args.m, args.n)
-    if args.json:
-        _print(out, _dump({
-            "suite": report.suite,
-            "knot": {"p": spec.p, "q": spec.q},
-            "k": report.k,
-            "m": report.m,
-            "n": report.n,
-            "cable": {"r": report.cable.r, "s": report.cable.s},
-            "claims": [
-                {"description": c.description, "passed": c.passed, "detail": c.detail}
-                for c in report.claims
-            ],
-            "passed": report.passed,
-        }))
-    else:
-        _print(out, f"suite {report.suite} on {spec} with k={report.k} m={report.m} "
-               f"n={report.n}: cable ({report.cable.r},{report.cable.s})")
-        for c in report.claims:
-            mark = "PASS" if c.passed else "FAIL"
-            detail = f" [{c.detail}]" if c.detail else ""
-            _print(out, f"  {mark}  {c.description}{detail}")
-    return 0 if report.passed else 1
+    payload = {
+        "suite": report.suite,
+        "knot": _knot(spec),
+        "k": report.k,
+        "m": report.m,
+        "n": report.n,
+        "cable": {"r": report.cable.r, "s": report.cable.s},
+        "claims": [
+            {"description": c.description, "passed": c.passed, "detail": c.detail}
+            for c in report.claims
+        ],
+        "passed": report.passed,
+    }
+    lines = [f"suite {report.suite} on {spec} with k={report.k} m={report.m} "
+             f"n={report.n}: cable ({report.cable.r},{report.cable.s})"]
+    for c in report.claims:
+        mark = "PASS" if c.passed else "FAIL"
+        detail = f" [{c.detail}]" if c.detail else ""
+        lines.append(f"  {mark}  {c.description}{detail}")
+    return payload, "\n".join(lines), 0 if report.passed else 1
+
+
+# (command, farey op or tori action) -> (handler, arguments the entry needs
+# beyond what argparse enforces: a positional name or an option "--name").
+COMMANDS = {
+    ("farey", "neighbors"): (_farey_neighbors, ()),
+    ("farey", "cf"): (_farey_cf, ()),
+    ("farey", "mediant"): (_farey_mediant, ("b",)),
+    ("farey", "combine"): (_farey_combine, ("b", "m", "n")),
+    ("farey", "edge"): (_farey_edge, ("b",)),
+    ("farey", "intersect"): (_farey_intersect, ("b",)),
+    ("bypass", None): (_bypass, ()),
+    ("tori", "census"): (_tori_census, ("--slope",)),
+    ("tori", "profile"): (_tori_profile, ("--k",)),
+    ("tori", "locate"): (_tori_locate, ("--slope",)),
+    ("tori", "interval"): (_tori_interval, ("--n",)),
+    ("tori", "width"): (_tori_width, ()),
+    ("tori", "indices"): (_tori_indices, ("--bound",)),
+    ("classify", None): (_classify, ()),
+    ("mountain", None): (_mountain, ()),
+    ("transverse", None): (_transverse, ()),
+    ("verify", None): (_verify, ()),
+}
+
+
+def _ops(command: str) -> list:
+    return [op for cmd, op in COMMANDS if cmd == command]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_farey = sub.add_parser("farey", help="slope arithmetic and tessellation queries")
-    p_farey.add_argument("op", choices=["neighbors", "cf", "mediant", "combine", "edge", "intersect"])
+    p_farey.add_argument("op", choices=_ops("farey"))
     p_farey.add_argument("a", type=_slope)
     p_farey.add_argument("b", type=_slope, nargs="?")
     p_farey.add_argument("m", type=int, nargs="?")
@@ -407,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_byp.add_argument("--json", action="store_true")
 
     p_tori = sub.add_parser("tori", help="solid-torus census and geometry queries")
-    p_tori.add_argument("action", choices=["census", "profile", "locate", "interval", "width", "indices"])
+    p_tori.add_argument("action", choices=_ops("tori"))
     p_tori.add_argument("--pq", type=_pair, required=True)
     p_tori.add_argument("--slope", type=_slope)
     p_tori.add_argument("--k", type=int)
@@ -435,14 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MISSING_ARG = {
-    "mediant": ("b",),
-    "combine": ("b", "m", "n"),
-    "edge": ("b",),
-    "intersect": ("b",),
-}
-
-
 def run(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
@@ -451,34 +456,20 @@ def run(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    op = getattr(args, "op", None) or getattr(args, "action", None)
+    handler, needs = COMMANDS[args.command, op]
+    for name in needs:
+        if getattr(args, name.lstrip("-")) is None:
+            label = name if name.startswith("--") else f"argument {name!r}"
+            err.write(f"{args.command} {op}: missing {label}\n")
+            return 2
     try:
-        if args.command == "farey":
-            for needed in _MISSING_ARG.get(args.op, ()):
-                if getattr(args, needed) is None:
-                    err.write(f"farey {args.op}: missing argument {needed!r}\n")
-                    return 2
-            return _cmd_farey(args, out)
-        if args.command == "bypass":
-            return _cmd_bypass(args, out)
-        if args.command == "tori":
-            needed = {"census": "slope", "locate": "slope", "profile": "k",
-                      "interval": "n", "indices": "bound"}.get(args.action)
-            if needed and getattr(args, needed) is None:
-                err.write(f"tori {args.action}: missing --{needed}\n")
-                return 2
-            return _cmd_tori(args, out)
-        if args.command == "classify":
-            return _cmd_classify(args, out)
-        if args.command == "mountain":
-            return _cmd_mountain(args, out)
-        if args.command == "transverse":
-            return _cmd_transverse(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        payload, text, *code = handler(args)
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 1
+    out.write(_dump(payload) if args.json else text + "\n")
+    return code[0] if code else 0
 
 
 def main() -> None:

@@ -402,7 +402,7 @@ def count_classes(cls: Classification, rot: int, tb: int) -> int:
     return len(classes_at(cls, rot, tb))
 
 
-def stabilize(klass, cls: Classification, sign: int):
+def stabilize(klass, sign: int):
     """Stabilize a class: tb drops by one, rot moves by ``sign``.
 
     A protected class whose bound would be exceeded collapses into the
@@ -421,22 +421,13 @@ def stabilize(klass, cls: Classification, sign: int):
     return Branch(klass.gen, klass.x, klass.y + 1)
 
 
-def same_class(cls: Classification, a, b) -> bool:
-    """Equivalence of classes: branches match exactly, commons by position."""
-    if isinstance(a, Branch) and isinstance(b, Branch):
-        return a.gen == b.gen and a.x == b.x and a.y == b.y
-    if isinstance(a, Common) and isinstance(b, Common):
-        return a.rot == b.rot and a.tb == b.tb
-    return False
-
-
 def destabilizes(cls: Classification, klass) -> bool:
     """Whether some class one level up stabilizes onto this one."""
     rot = klass.rot
     tb = klass.tb
     for sign in (1, -1):
         for cand in classes_at(cls, rot - sign, tb + 1):
-            if same_class(cls, stabilize(cand, cls, sign), klass):
+            if stabilize(cand, sign) == klass:
                 return True
     return False
 

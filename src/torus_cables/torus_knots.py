@@ -271,13 +271,8 @@ def _negative_census(spec: TorusKnotSpec, slope: Slope) -> CensusRecord:
     # count pairs two basic slices with each Legendrian class of tb = n + 1.
     w = spec.width
     v = slope.value
-    if v <= -1:
-        n = -1
-    else:
-        n = v.denominator // v.numerator  # floor(1/v) for v in (-1, 0)
-        if Slope(1, 1).value / v == n:
-            raise ValueError(f"negative reciprocal-integer slope {slope} is not covered by the census")
-    if 1 / v == n and n == -1:
+    n = -1 if v <= -1 else v.denominator // v.numerator  # floor(1/v) on (-1, 0)
+    if 1 / v == n:
         raise ValueError(f"negative reciprocal-integer slope {slope} is not covered by the census")
     count = 2 * (w - n)
     return CensusRecord(

@@ -8,6 +8,7 @@ with side the transverse merge depth that criterion 9 checks.  It is one
 point, hence one rot-symmetric pair, exactly when that depth is 1.
 """
 
+import functools
 import random
 import time
 from math import gcd
@@ -140,16 +141,18 @@ def test_criterion_6_census():
     report(6, "census counts 6/2, 2/2 and the two tb=2 neighborhoods reproduce exactly")
 
 
-def _count3_sets(spec):
+@functools.cache
+def _grid_counts(spec):
+    """Per grid cable down to tb_max - 40: the largest count and the count-3
+    points.  Cached, so that criteria 7a and 7b share one scan."""
     out = {}
     for r, s in reduced_pairs(10):
         if s == 1 and r < spec.width:
             continue  # the cable is the knot itself; outside the formulas
         cable = CableSpec(spec, r, s)
         cls = classify(cable)
-        mr = mountain_range(cls, cls.tb_max - 40)
-        assert all(c <= 3 for c in mr.counts.values()), (spec, r, s)
-        out[cable] = {pt for pt, c in mr.counts.items() if c == 3}
+        counts = mountain_range(cls, cls.tb_max - 40).counts
+        out[cable] = (max(counts.values()), {pt for pt, c in counts.items() if c == 3})
     return out
 
 
@@ -186,7 +189,8 @@ def _predicted_diamond(cable, tb_floor):
 def test_criterion_7a_count_bound_at_most_three():
     start = time.monotonic()
     for spec in (T25, T34):
-        _count3_sets(spec)
+        for cable, (top, _) in _grid_counts(spec).items():
+            assert top <= 3, cable
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
     report(
@@ -204,7 +208,7 @@ def test_criterion_7b_count_three_at_one_symmetric_pair():
     start = time.monotonic()
     grid = deep = 0
     for spec in (T25, T34):
-        for cable, pts in _count3_sets(spec).items():
+        for cable, (_, pts) in _grid_counts(spec).items():
             tb_floor = classify(cable).tb_max - 40
             assert pts == _predicted_diamond(cable, tb_floor), (cable, sorted(pts))
             one_pair = len({(abs(rot), tb) for rot, tb in pts}) <= 1

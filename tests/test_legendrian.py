@@ -18,7 +18,6 @@ from torus_cables.legendrian import (
     mountain_range,
     peak_rotations,
     ruling_tb,
-    same_class,
     stabilize,
 )
 from torus_cables.torus_knots import TorusKnotSpec
@@ -32,6 +31,13 @@ T34 = TorusKnotSpec(3, 4)
 
 def gens_by_id(cls):
     return {g.id: g for g in cls.generators}
+
+
+def class_key(c):
+    """What identifies a class: its generator and word, or its position."""
+    if isinstance(c, Branch):
+        return ("branch", c.gen.id, c.x, c.y)
+    return ("common", c.rot, c.tb)
 
 
 def test_cable_spec_normalization():
@@ -147,24 +153,39 @@ def test_stabilize_examples():
     cls = classify(CableSpec(T23, 2, 3))
     kp = gens_by_id(cls)["protected_k:+"]
     b = Branch(kp, 0, 0)
-    down = stabilize(b, cls, -1)
+    down = stabilize(b, -1)
     assert isinstance(down, Branch) and (down.x, down.y) == (0, 1)
     assert (down.tb, down.rot) == (4, 1)
-    collapsed = stabilize(b, cls, 1)
+    collapsed = stabilize(b, 1)
     assert collapsed == Common(3, 4)
-    assert stabilize(Common(0, 5), cls, 1) == Common(1, 4)
+    assert stabilize(Common(0, 5), 1) == Common(1, 4)
+    with pytest.raises(ValueError):
+        stabilize(b, 0)
 
 
 def test_same_class_examples():
+    # Classes are frozen values: two are the same class exactly when they
+    # are ==, which is equality of their generator and word, or position.
     cls = classify(CableSpec(T23, 2, 5))
     l2p = gens_by_id(cls)["protected_l:2:+"]
-    assert same_class(cls, Branch(l2p, 1, 4), Branch(l2p, 1, 4))
+    assert Branch(l2p, 1, 4) == Branch(l2p, 1, 4)
     cls23 = classify(CableSpec(T23, 2, 3))
     kp = gens_by_id(cls23)["protected_k:+"]
-    assert not same_class(cls23, Branch(kp, 0, 1), Common(1, 4))
-    a = stabilize(Branch(kp, 0, 1), cls23, 1)
-    b = stabilize(stabilize(Common(2, 5), cls23, 1), cls23, -1)
-    assert same_class(cls23, a, b) and a == Common(2, 3)
+    assert Branch(kp, 0, 1) != Common(1, 4)
+    a = stabilize(Branch(kp, 0, 1), 1)
+    b = stabilize(stabilize(Common(2, 5), 1), -1)
+    assert a == b == Common(2, 3)
+    classes = [
+        c
+        for tb in range(cls.tb_max - 6, cls.tb_max + 1)
+        for rot in range(-tb - 20, tb + 21)
+        for c in classes_at(cls, rot, tb)
+    ]
+    assert len(classes) == 84
+    for x in classes:
+        for y in classes:
+            assert (x == y) == (class_key(x) == class_key(y)), (x, y)
+    assert len(set(classes)) == len({class_key(c) for c in classes}) == len(classes)
 
 
 def test_count_classes_examples():
@@ -248,25 +269,20 @@ def test_cable_rot():
 def _classes_by_brute_force(cls, depth):
     # Flood every stabilization word of length <= depth from the generator
     # heads; completely independent of the solved-form enumeration.
-    def key(c):
-        if isinstance(c, Branch):
-            return ("branch", c.gen.id, c.x, c.y)
-        return ("common", c.rot, c.tb)
-
     seen = {}
     frontier = []
     for g in cls.generators:
         c = Branch(g, 0, 0) if g.protected else Common(g.rot, g.tb)
         frontier.append(c)
-        seen.setdefault((c.rot, c.tb), set()).add(key(c))
+        seen.setdefault((c.rot, c.tb), set()).add(class_key(c))
     for _ in range(depth):
         new = []
         for c in frontier:
             for sign in (1, -1):
-                d = stabilize(c, cls, sign)
+                d = stabilize(c, sign)
                 bucket = seen.setdefault((d.rot, d.tb), set())
-                if key(d) not in bucket:
-                    bucket.add(key(d))
+                if class_key(d) not in bucket:
+                    bucket.add(class_key(d))
                     new.append(d)
         frontier = new
     return seen

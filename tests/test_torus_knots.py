@@ -225,6 +225,8 @@ def test_census_rejects_uncovered_slopes():
     with pytest.raises(ValueError):
         tori_census(T25, S("-1/2"))  # negative reciprocal integer
     with pytest.raises(ValueError):
+        tori_census(T25, S("-1/1"))  # the reciprocal integer -1 itself
+    with pytest.raises(ValueError):
         tori_census(T25, S("1/0"))
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from torus_cables.legendrian import CableSpec, classify
+from torus_cables.legendrian import Branch, CableSpec, classes_at, classify, stabilize
 from torus_cables.torus_knots import TorusKnotSpec
 from torus_cables.transverse import (
     TOP_CHAIN,
@@ -120,6 +120,29 @@ def test_quotient_coherence_small():
             assert a.max_sl == b.max_sl, cable
             assert a.simple == b.simple, cable
             assert side_branches(a) == side_branches(b), cable
+
+
+def test_plus_branch_heads_never_destabilize():
+    # The orbit search the quotient route replaces with an argument: no class
+    # one level up positively stabilizes onto a plus-branch head or onto the
+    # first points Branch(g, 0, y) of its negative-stabilization orbit.
+    # Grid of acceptance criterion 8.
+    heads = 0
+    for spec in (T23, T25, T34):
+        for r, s in reduced_pairs(12):
+            if not _covered(spec, r, s):
+                continue
+            cls = classify(CableSpec(spec, r, s))
+            for g in cls.branches:
+                if g.sign != 1:
+                    continue
+                for y in range(3):
+                    target = Branch(g, 0, y)
+                    for cand in classes_at(cls, target.rot - 1, target.tb + 1):
+                        assert stabilize(cand, 1) != target, (cls.cable, g.id, y)
+                heads += 1
+            assert not any(b.destabilizable for b in quotient_transverse(cls).side_branches)
+    assert heads > 200
 
 
 def test_verify_qualitative_examples():
