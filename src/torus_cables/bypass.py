@@ -6,6 +6,12 @@ slope ``r``, a bypass attached to the front along a ruling curve replaces
 closest to ``r`` (in arc order) among slopes sharing a tessellation edge
 with ``s``; the ruling slope itself is excluded.  A bypass attached to the
 back obeys the same rule on the arc from ``s`` to ``r``.
+
+The slopes sharing an edge with a finite ``s`` form two families,
+``upper + k*s`` and ``lower + k*s`` for k >= 0, where ``upper`` and
+``lower`` are the extreme neighbors of ``s``.  Walking counterclockwise from
+``s`` the first family falls to ``upper``, there is a gap up to ``lower``,
+and the second family rises back to ``s``.
 """
 
 from __future__ import annotations
@@ -13,16 +19,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .farey import (
-    INFINITY,
-    Slope,
-    ccw_strictly_between,
-    circular_key,
-    normalize,
-)
+from .farey import INFINITY, Slope, circular_key, extreme_neighbors, normalize
 
 FRONT = "front"
 BACK = "back"
@@ -51,51 +50,27 @@ def _check(state: TorusState, side: str) -> None:
         raise ValueError("the slope rule applies only to tori with two dividing curves")
 
 
-def _family_member(p: int, q: int, e: int, y: int) -> Slope:
-    # y-th neighbor of p/q in the family p*y - q*x = e.
-    return normalize((p * y - e) // q, y)
-
-
 def _first_neighbor_ccw_after(s: Slope, r: Slope) -> Slope:
     """First slope with an edge to s met strictly after r, walking ccw."""
     if s.is_infinite:
         # Neighbors of the infinite slope are the integer slopes.
-        return normalize(math.floor(r.value) + 1, 1)
-    p, q = s.num, s.den
-    sv = s.value
-    candidates = []
-    for e in (1, -1):
-        if q == 1:
-            y0 = 1
-        else:
-            y0 = (e * pow(p, -1, q)) % q
-        parent = _family_member(p, q, e, y0)
-        if e == 1:
-            # Family below s, spanning [parent, s) in circular order.
-            if r == parent:
-                candidates.append(_family_member(p, q, e, y0 + q))
-            elif ccw_strictly_between(r, parent, s):
-                # First member strictly above r: minimal y > 1/(q*(s - r)).
-                y_raw = math.floor(Fraction(1, q) / (sv - r.value)) + 1
-                k = max(0, -((y0 - y_raw) // q))
-                candidates.append(_family_member(p, q, e, y0 + k * q))
-            else:
-                candidates.append(parent)
-        else:
-            # Family above s, spanning (s, parent]; it meets the arc only
-            # when r sits inside that span.
-            if r != parent and ccw_strictly_between(r, s, parent):
-                y_raw = math.ceil(Fraction(1, q) / (r.value - sv)) - 1
-                k = (y_raw - y0) // q
-                if k >= 0:
-                    candidates.append(_family_member(p, q, e, y0 + k * q))
-    if q == 1 and r != INFINITY and ccw_strictly_between(INFINITY, r, s):
-        candidates.append(INFINITY)
-    best = candidates[0]
-    for c in candidates[1:]:
-        if ccw_strictly_between(c, r, best):
-            best = c
-    return best
+        return Slope(r.num // r.den + 1, 1)
+    upper, lower = extreme_neighbors(s)
+    # Signs of s - r, lower - r and upper - r for a finite r = a/b; an
+    # infinite r fails both tests below and falls through to lower.
+    p, q, a, b = s.num, s.den, r.num, r.den
+    d = p * b - a * q
+    lo = lower.num * b - a * lower.den
+    hi = upper.num * b - a * upper.den
+    if d > 0 and lo <= 0:
+        # lower <= r < s: the first k with lower + k*s above r.
+        k = -lo // d + 1
+        return Slope(lower.num + k * p, lower.den + k * q)
+    if d < 0 and hi > 0:
+        # s < r < upper: the last k with upper + k*s above r.
+        k = (hi - 1) // -d
+        return Slope(upper.num + k * p, upper.den + k * q)
+    return lower
 
 
 def attach_bypass(state: TorusState, side: str) -> Slope:

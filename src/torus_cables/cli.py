@@ -19,6 +19,7 @@ the text.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -453,7 +454,8 @@ def run(argv=None, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     op = getattr(args, "op", None) or getattr(args, "action", None)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 
@@ -95,8 +94,8 @@ class ContinuedFraction:
     """Minus-sign continued fraction a0 - 1/(a1 - 1/(... - 1/an)).
 
     Canonical expansions have a0 >= 1 and ai >= 2 afterwards.  The final
-    coefficient is additionally allowed to be 0 or 1, a transient form needed
-    while computing tessellation neighbors.
+    coefficient is additionally allowed to be 0 or 1, a transient form that
+    :func:`cf_eval` also accepts.
     """
 
     coeffs: tuple
@@ -149,25 +148,33 @@ def cf_eval(cf: ContinuedFraction) -> Slope:
     return normalize(num, den)
 
 
+def extreme_neighbors(s: Slope) -> tuple:
+    """:func:`neighbors` for every finite slope, negative and 0/1 included.
+
+    Every other neighbor of ``s`` is ``upper + k*s`` or ``lower + k*s``
+    (componentwise) for some k >= 1.
+    """
+    if s.is_infinite:
+        raise ValueError("the infinite slope has no extreme neighbors")
+    p, q = s.num, s.den
+    y = -pow(p, -1, q) % q
+    upper = Slope((p * y + 1) // q, y) if y else INFINITY
+    return upper, Slope(p - upper.num, q - upper.den)
+
+
 def neighbors(u: Slope) -> tuple:
     """The two extreme tessellation neighbors of a finite positive slope.
 
     Returns ``(upper, lower)``: the largest slope above ``u`` sharing an edge
     with it (infinite when ``u`` is an integer) and the smallest slope below.
     ``u`` is the mediant of the two, and they share an edge with each other.
-    The lower neighbor is computed as the componentwise difference
-    ``u - upper`` forced by the mediant identity, which needs no special case
-    at u = 1/1.
+    Closed form, for ``u = p/q``: with ``y = (-p^-1) mod q``,
+    ``upper = ((p*y + 1)/q) / y`` (infinite when ``q == 1``) and
+    ``lower = u - upper`` componentwise.
     """
     if not u.is_positive():
         raise ValueError(f"neighbors are defined for positive slopes, got {u}")
-    cf = cf_expand(u)
-    if len(cf.coeffs) == 1:
-        upper = INFINITY
-    else:
-        upper = cf_eval(ContinuedFraction(cf.coeffs[:-1]))
-    lower = normalize(u.num - upper.num, u.den - upper.den)
-    return upper, lower
+    return extreme_neighbors(u)
 
 
 def neighbors_oracle(u: Slope, den_bound: int) -> tuple:
@@ -176,7 +183,7 @@ def neighbors_oracle(u: Slope, den_bound: int) -> tuple:
     Scans every denominator up to ``den_bound`` (plus the infinite slope),
     solves the edge condition for the numerator, and keeps the extreme
     neighbor on each side of ``u``: the largest above and the smallest below.
-    Independent of the continued-fraction route.
+    Independent of the closed form.
     """
     if not u.is_positive():
         raise ValueError(f"neighbors are defined for positive slopes, got {u}")
@@ -234,7 +241,6 @@ def is_edge(a: Slope, b: Slope) -> bool:
 
 # -- circular order ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def circular_key(s: Slope) -> tuple:
     """Sort key realizing the counterclockwise order 0, positives, inf, negatives."""
     if s.den == 0:

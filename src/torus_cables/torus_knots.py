@@ -243,19 +243,13 @@ def tori_census(spec: TorusKnotSpec, slope: Slope) -> CensusRecord:
     recip = 1 / slope.value
     n = recip.numerator // recip.denominator + 1
     base = 2 * (w - n + 1)
-    scaled = slope.value * w
-    k = scaled.numerator // scaled.denominator
-    in_influence = (
-        k >= 2
-        and gcd(k, w) == 1
-        and influence_interval(spec, k).in_upper_half(slope)
-    )
-    if in_influence:
+    region = locate(spec, slope)
+    if region.kind == INFLUENCE_UPPER:
         return CensusRecord(
             torus_count=base + 2,
             standard_count=base,
             dividing_curve_pairs=1,
-            note=f"all but the two tori trapped at slope {exceptional_slope(spec, k)} "
+            note=f"all but the two tori trapped at slope {exceptional_slope(spec, region.index)} "
             f"thicken to standard neighborhoods of tb={n} representatives",
         )
     return CensusRecord(
@@ -365,12 +359,9 @@ def _outcome_without_context(spec, dividing, curve_pairs):
                     f"slope {dividing} with {2 * curve_pairs} dividing curves may or may not "
                     "thicken; supply the containing torus index"
                 )
-        k = scaled.numerator // scaled.denominator
-        for n in (k, k + 1) if spec.is_trefoil else (k,):
-            if n >= 1 and gcd(n, w) == 1 and n >= (1 if spec.is_trefoil else 2):
-                if influence_interval(spec, n).in_upper_half(dividing):
-                    raise ValueError(
-                        f"slope {dividing} lies in an interval of influence; the outcome "
-                        "depends on the containing torus, supply its index"
-                    )
+        if locate(spec, dividing).kind in (INFLUENCE_UPPER, TREFOIL_BAND):
+            raise ValueError(
+                f"slope {dividing} lies in an interval of influence; the outcome "
+                "depends on the containing torus, supply its index"
+            )
     return ThickeningOutcome(THICKENS_TO_MAX)

@@ -1,5 +1,7 @@
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torus_cables.bypass import (
@@ -9,7 +11,7 @@ from torus_cables.bypass import (
     attach_bypass,
     attach_bypass_oracle,
 )
-from torus_cables.farey import ccw_strictly_between, is_edge, normalize
+from torus_cables.farey import Slope, ccw_strictly_between, extreme_neighbors, is_edge, normalize
 
 from conftest import S, grid_slopes
 
@@ -88,6 +90,32 @@ def test_oracle_equivalence_random(pd, pr):
     state = TorusState(dividing, ruling)
     for side in (FRONT, BACK):
         assert attach_bypass(state, side) == attach_bypass_oracle(state, side, 45)
+
+
+@st.composite
+def deep_family_states(draw):
+    # A dividing slope with denominator up to 200 and a ruling slope a few
+    # Farey steps away: first deep into one of its two neighbor families,
+    # then up to two short steps on, so the answer lies at a large k.
+    q = draw(st.integers(1, 200))
+    p = draw(st.integers(-3 * q, 3 * q).filter(lambda p: gcd(p, q) == 1))
+    dividing = ruling = Slope(p, q)
+    for kmax in [50] + [2] * draw(st.integers(0, 2)):
+        if ruling.is_infinite:
+            break
+        base = draw(st.sampled_from(extreme_neighbors(ruling)))
+        k = draw(st.integers(0, kmax))
+        ruling = normalize(base.num + k * ruling.num, base.den + k * ruling.den)
+    assume(ruling != dividing)
+    return TorusState(dividing, ruling)
+
+
+@given(deep_family_states())
+@settings(max_examples=150, deadline=None)
+def test_oracle_equivalence_deep_in_a_family(state):
+    den_bound = state.ruling.den + 2 * state.dividing.den + 2
+    for side in (FRONT, BACK):
+        assert attach_bypass(state, side) == attach_bypass_oracle(state, side, den_bound)
 
 
 def test_repeated_front_attachment_walks_toward_the_ruling():

@@ -179,7 +179,7 @@ def test_exit_codes():
     assert code == 2
 
 
-def test_console_module_entry_point():
+def test_console_module_entry_point(monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "torus_cables.cli", "farey", "neighbors", "5/3"],
         capture_output=True,
@@ -187,6 +187,15 @@ def test_console_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "upper 2/1, lower 3/2\n"
+    # argparse's own usage errors reach run()'s err, as the process's stderr.
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "torus_cables.cli", "nonsense"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke("nonsense")
+    assert proc.stderr.startswith("usage: torus-cables")
 
 
 def _fail_last_claim(check):
@@ -202,6 +211,8 @@ def test_golden_corpus(case, monkeypatch):
     # Every (command, op) in text and --json, the exit-1 domain errors, the
     # exit-2 missing arguments, and verify exiting 1 on a failed claim (the
     # suites pass on every valid input, so those cases fail the last claim).
+    # argparse wraps its usage text to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
     if case.get("fail_last_claim"):
         for name in ("_check_qual1", "_check_qual2", "_check_qual4"):
             monkeypatch.setattr(transverse, name, _fail_last_claim(getattr(transverse, name)))

@@ -1,9 +1,13 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import torus_cables
 
 from torus_cables.farey import (
     INFINITY,
@@ -14,6 +18,7 @@ from torus_cables.farey import (
     cf_expand,
     circular_key,
     circularly_between,
+    extreme_neighbors,
     farey_combine,
     intersect,
     is_edge,
@@ -23,7 +28,7 @@ from torus_cables.farey import (
     normalize,
 )
 
-from conftest import S, positive_slopes
+from conftest import S, grid_slopes, positive_slopes
 
 
 def test_normalize_examples():
@@ -87,6 +92,55 @@ def test_neighbor_edge_and_mediant_identities():
         upper, lower = neighbors(u)
         assert is_edge(u, upper) and is_edge(u, lower) and is_edge(upper, lower)
         assert mediant(upper, lower) == u
+
+
+def test_extreme_neighbors_of_every_finite_slope():
+    # Negative slopes and 0/1 included; a brute-force scan of denominators
+    # <= 60 finds every neighbor in one of the two families.
+    for s in grid_slopes(30, include_infinity=False):
+        upper, lower = extreme_neighbors(s)
+        assert is_edge(s, upper) and is_edge(s, lower) and is_edge(upper, lower)
+        assert (upper.num + lower.num, upper.den + lower.den) == (s.num, s.den)
+        assert lower.value < s.value and (upper.is_infinite or s.value < upper.value)
+        found = [INFINITY] if s.den == 1 else []
+        for b in range(1, 61):
+            for e in (1, -1):
+                top = s.num * b - e
+                if top % s.den == 0:
+                    found.append(normalize(top // s.den, b))
+        for t in found:
+            if t != upper:
+                assert lower.value <= t.value and (upper.is_infinite or t.value < upper.value)
+            in_family = [
+                base
+                for base in (upper, lower)
+                if (t.den - base.den) % s.den == 0
+                and (t.den - base.den) // s.den >= 0
+                and t.num - base.num == (t.den - base.den) // s.den * s.num
+            ]
+            assert in_family, (s, t)
+    with pytest.raises(ValueError):
+        extreme_neighbors(INFINITY)
+
+
+def test_neighbors_rejects_nonpositive():
+    for bad in ("-1/2", "0/1", "1/0"):
+        with pytest.raises(ValueError, match="neighbors are defined for positive slopes"):
+            neighbors(S(bad))
+
+
+def test_every_cache_is_bounded():
+    # Long-running use must not grow memory through an unbounded cache.
+    caches = {}
+    for info in pkgutil.iter_modules(torus_cables.__path__):
+        module = importlib.import_module(f"torus_cables.{info.name}")
+        scopes = [vars(module)] + [vars(v) for v in vars(module).values() if isinstance(v, type)]
+        for scope in scopes:
+            for name, obj in scope.items():
+                if hasattr(obj, "cache_parameters"):
+                    caches[f"{module.__name__}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert "torus_cables.bypass._edge_candidates" in caches
+    assert all(size is not None for size in caches.values()), caches
 
 
 def test_mediant_examples():
