@@ -454,7 +454,7 @@ def run(argv=None, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

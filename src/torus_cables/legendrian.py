@@ -16,6 +16,12 @@ Every Legendrian class is therefore either ``Common(rot, tb)`` or
 ``Branch(generator, x, y)`` with ``tb = tb_g - x - y`` and
 ``rot = rot_g + sign_g*(x - y)``.
 
+``stabilize`` is the one transition rule of the model.  The mountain range
+is the set of lattice points its words reach: ``mountain_range`` floods the
+generator heads level by level and counts the distinct classes per point.
+``classes_at`` is the solved form of the same lattice; it answers point
+queries and is the flood's oracle in the tests.
+
 Which generators occur depends only on where the cable slope falls relative
 to the intervals of influence of the underlying knot; cables of the trefoil
 additionally carry one protected pair per integer band below the slope.
@@ -23,6 +29,7 @@ additionally carry one protected pair per integer band below the slope.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -445,17 +452,26 @@ class MountainRange:
 
 
 def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
-    """All nonzero class counts with tb between the floor and the maximum."""
+    """All nonzero class counts with tb between the floor and the maximum.
+
+    The classes are flooded from the generator heads: each level is every
+    stabilization of the level above plus the heads at that tb, and a
+    point's count is the number of distinct classes on it.  ``counts`` is
+    keyed in (tb, rot) ascending order.
+    """
     if tb_floor > cls.tb_max:
         raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {cls.tb_max}")
+    heads = {}
+    for g in cls.generators:
+        heads.setdefault(g.tb, set()).add(Branch(g, 0, 0) if g.protected else Common(g.rot, g.tb))
+    level, rows = set(), []
+    for tb in range(cls.tb_max, tb_floor - 1, -1):
+        level = {stabilize(c, sign) for c in level for sign in (1, -1)} | heads.get(tb, set())
+        rows.append((tb, sorted(c.rot for c in level)))
     counts = {}
-    for tb in range(tb_floor, cls.tb_max + 1):
-        lo = min(g.rot - (g.tb - tb) for g in cls.generators)
-        hi = max(g.rot + (g.tb - tb) for g in cls.generators)
-        for rot in range(lo, hi + 1):
-            c = count_classes(cls, rot, tb)
-            if c:
-                counts[(rot, tb)] = c
+    while rows:  # the floor row first; each row is freed once copied
+        tb, rots = rows.pop()
+        counts.update(((rot, tb), n) for rot, n in Counter(rots).items())
     return MountainRange(tb_floor=tb_floor, tb_max=cls.tb_max, counts=counts)
 
 
@@ -463,16 +479,6 @@ def count_three_points(cls: Classification, tb_floor: int) -> list:
     """Lattice points carrying three classes, scanned down to the floor."""
     mr = mountain_range(cls, tb_floor)
     return sorted(pt for pt, c in mr.counts.items() if c == 3)
-
-
-def collapse_coherent(cls: Classification) -> bool:
-    """Every branch collapse lands where the common class is defined."""
-    for g in cls.branches:
-        apex_rot = g.rot + g.sign * (g.bound + 1)
-        apex_tb = g.tb - (g.bound + 1)
-        if not common_reachable(cls, apex_rot, apex_tb):
-            return False
-    return True
 
 
 # -- invariants of curves on convex tori -------------------------------------

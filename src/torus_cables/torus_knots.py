@@ -86,15 +86,6 @@ class InfluenceInterval:
     upper: Slope
     lower: Slope
 
-    def in_influence(self, slope: Slope) -> bool:
-        """slope lies in the open interval J = (lower, upper)."""
-        if slope.is_infinite:
-            return False
-        v = slope.value
-        if v <= self.lower.value:
-            return False
-        return self.upper.is_infinite or v < self.upper.value
-
     def in_upper_half(self, slope: Slope) -> bool:
         """slope lies in the half-open interval I = [center, upper)."""
         if slope.is_infinite:

@@ -198,6 +198,20 @@ def test_console_module_entry_point(monkeypatch):
     assert proc.stderr.startswith("usage: torus-cables")
 
 
+def test_help_reaches_out(monkeypatch):
+    # argparse prints --help to sys.stdout itself; run() sends it to out.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["farey", "--help"], ["--help"]):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "") and out.startswith("usage: torus-cables"), argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "torus_cables.cli", "farey", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke("farey", "--help")
+
+
 def _fail_last_claim(check):
     def wrapped(*args):
         claims = check(*args)

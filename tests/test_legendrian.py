@@ -10,7 +10,6 @@ from torus_cables.legendrian import (
     cable_rot,
     classes_at,
     classify,
-    collapse_coherent,
     count_classes,
     destabilizes,
     divide_tb,
@@ -22,7 +21,7 @@ from torus_cables.legendrian import (
 )
 from torus_cables.torus_knots import TorusKnotSpec
 
-from conftest import S
+from conftest import S, reduced_pairs
 
 T23 = TorusKnotSpec(2, 3)
 T25 = TorusKnotSpec(2, 5)
@@ -236,12 +235,6 @@ def test_bennequin_bound_on_generators():
             assert g.tb + abs(g.rot) <= bound
 
 
-def test_collapse_coherent():
-    for cable in (CableSpec(T23, 2, 3), CableSpec(T23, 2, 5), CableSpec(T25, 3, 2),
-                  CableSpec(T25, 5, 3), CableSpec(T34, 7, 9), CableSpec(T25, 7, 5)):
-        assert collapse_coherent(classify(cable))
-
-
 def test_destabilizes():
     cls = classify(CableSpec(T23, 2, 3))
     kp = gens_by_id(cls)["protected_k:+"]
@@ -266,47 +259,57 @@ def test_cable_rot():
     assert cable_rot(4, 7, -2, 3) == 13
 
 
-def _classes_by_brute_force(cls, depth):
-    # Flood every stabilization word of length <= depth from the generator
-    # heads; completely independent of the solved-form enumeration.
-    seen = {}
-    frontier = []
-    for g in cls.generators:
-        c = Branch(g, 0, 0) if g.protected else Common(g.rot, g.tb)
-        frontier.append(c)
-        seen.setdefault((c.rot, c.tb), set()).add(class_key(c))
-    for _ in range(depth):
-        new = []
-        for c in frontier:
-            for sign in (1, -1):
-                d = stabilize(c, sign)
-                bucket = seen.setdefault((d.rot, d.tb), set())
-                if class_key(d) not in bucket:
-                    bucket.add(class_key(d))
-                    new.append(d)
-        frontier = new
-    return seen
+def _solved_counts(cls, tb_floor):
+    # The solved form on every cell of the band, one rot cell past the
+    # generator cones on each side.
+    counts = {}
+    for tb in range(tb_floor, cls.tb_max + 1):
+        lo = min(g.rot - (g.tb - tb) for g in cls.generators) - 1
+        hi = max(g.rot + (g.tb - tb) for g in cls.generators) + 1
+        for rot in range(lo, hi + 1):
+            c = count_classes(cls, rot, tb)
+            if c:
+                counts[(rot, tb)] = c
+    return counts
 
 
 def test_counts_match_stabilization_flood():
-    # Every class with tb within `depth` of the top is the image of some
-    # word of that length applied to a generator head, so the flood and the
-    # closed-form count must agree on that band of the lattice.  The depth
-    # reaches the triple-point diamonds of T(2,5)_(7,5) and _(10,7), which
-    # sit 8-10 and 11-15 levels below the top.
+    # mountain_range floods the generator heads with stabilize; every class
+    # with tb within `depth` of the top is the image of some word of that
+    # length applied to a head, so the flood and the solved form must agree
+    # on that band of the lattice.  The depth reaches the triple-point
+    # diamonds of T(2,5)_(7,5) and _(10,7), which sit 8-10 and 11-15 levels
+    # below the top.  Besides the bottom of the band, every floor from the
+    # lowest head up to tb_max is checked, so the floors of T(2,5)_(8,9)
+    # (influence_lower) and T(2,3)_(7,11) (protected_k at rs - delta, with
+    # delta = 3) cut between the top and a lower protected head.
     depth = 15
-    for cable in (CableSpec(T23, 2, 3), CableSpec(T23, 2, 5), CableSpec(T23, 3, 8),
-                  CableSpec(T25, 3, 2), CableSpec(T25, 5, 3), CableSpec(T25, 7, 5),
-                  CableSpec(T34, 9, 7), CableSpec(T25, 4, 3), CableSpec(T23, 3, -2),
-                  CableSpec(T25, 10, 7)):
+    cables = [CableSpec(T23, 2, 3), CableSpec(T23, 2, 5), CableSpec(T23, 3, 8),
+              CableSpec(T25, 3, 2), CableSpec(T25, 5, 3), CableSpec(T25, 7, 5),
+              CableSpec(T34, 9, 7), CableSpec(T25, 4, 3), CableSpec(T23, 3, -2),
+              CableSpec(T25, 10, 7), CableSpec(T25, 8, 9), CableSpec(T23, 7, 11)]
+    cables += [CableSpec(spec, r, s) for spec in (T25, T34) for r, s in reduced_pairs(10)
+               if not (s == 1 and r < spec.width)]  # criterion 7a's grid
+    lowered = 0
+    for cable in cables:
         cls = classify(cable)
-        seen = _classes_by_brute_force(cls, depth)
-        for tb in range(cls.tb_max - depth, cls.tb_max + 1):
-            lo = min(g.rot - (g.tb - tb) for g in cls.generators) - 1
-            hi = max(g.rot + (g.tb - tb) for g in cls.generators) + 1
-            for rot in range(lo, hi + 1):
-                found = len(seen.get((rot, tb), ()))
-                assert found == count_classes(cls, rot, tb), (cable, rot, tb)
+        solved = _solved_counts(cls, cls.tb_max - depth)
+        lowest_head = min(g.tb for g in cls.generators)
+        lowered += lowest_head < cls.tb_max - 1
+        for floor in {cls.tb_max - depth, *range(lowest_head, cls.tb_max + 1)}:
+            want = {pt: c for pt, c in solved.items() if pt[1] >= floor}
+            assert mountain_range(cls, floor).counts == want, (cable, floor)
+    assert lowered >= 2
+
+
+def test_mountain_counts_keep_tb_then_rot_order():
+    # The flood collects classes in sets, whose order follows string hashes
+    # (Generator.kind); the key order must come from the code instead.
+    for cable in (CableSpec(T23, 2, 5), CableSpec(T25, 10, 7), CableSpec(T23, 7, 11)):
+        cls = classify(cable)
+        assert cls.branches
+        mr = mountain_range(cls, cls.tb_max - 12)
+        assert list(mr.counts) == sorted(mr.counts, key=lambda pt: (pt[1], pt[0]))
 
 
 def test_generator_parity_everywhere():
