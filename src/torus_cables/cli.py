@@ -52,6 +52,7 @@ from .torus_knots import (
     width,
 )
 from .transverse import (
+    TOP_CHAIN,
     TransverseClassification,
     count_transverse,
     quotient_transverse,
@@ -84,15 +85,14 @@ def _slope_str(s) -> object:
     return None if s is None else str(s)
 
 
+def _cable_payload(cable: CableSpec) -> dict:
+    return {"p": cable.knot.p, "q": cable.knot.q, "r": cable.r, "s": cable.s}
+
+
 def classification_payload(cls: Classification) -> dict:
     p = cls.parameters
     return {
-        "cable": {
-            "p": cls.cable.knot.p,
-            "q": cls.cable.knot.q,
-            "r": cls.cable.r,
-            "s": cls.cable.s,
-        },
+        "cable": _cable_payload(cls.cable),
         "case": str(cls.region),
         "parameters": {
             "w": p.w,
@@ -309,7 +309,7 @@ def _mountain(args):
     cls = classify(_cable(args))
     mr = mountain_range(cls, args.tb_floor)
     payload = {
-        "cable": classification_payload(cls)["cable"],
+        "cable": _cable_payload(cls.cable),
         "tb_floor": mr.tb_floor,
         "tb_max": mr.tb_max,
         "counts": [
@@ -329,7 +329,7 @@ def _transverse(args):
         f"max sl {tcls.max_sl}, transversely simple {str(tcls.simple).lower()}",
     ]
     for b in tcls.branches:
-        if b.origin == "top":
+        if b.origin == TOP_CHAIN:
             lines.append(f"  top chain from sl {b.sl_top}")
         else:
             kind = "destabilizable" if b.destabilizable else "non-destabilizable"

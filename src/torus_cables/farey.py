@@ -93,9 +93,8 @@ def normalize(num: int, den: int) -> Slope:
 class ContinuedFraction:
     """Minus-sign continued fraction a0 - 1/(a1 - 1/(... - 1/an)).
 
-    Canonical expansions have a0 >= 1 and ai >= 2 afterwards.  The final
-    coefficient is additionally allowed to be 0 or 1, a transient form that
-    :func:`cf_eval` also accepts.
+    Only canonical expansions exist: a0 >= 1 and ai >= 2 afterwards, the
+    form :func:`cf_expand` produces.
     """
 
     coeffs: tuple
@@ -105,14 +104,10 @@ class ContinuedFraction:
         object.__setattr__(self, "coeffs", cs)
         if not cs:
             raise ValueError("continued fraction needs at least one coefficient")
-        for i, c in enumerate(cs):
-            last = i == len(cs) - 1
-            if i == 0 and not last and c < 1:
-                raise ValueError("leading coefficient must be >= 1")
-            if 0 < i < len(cs) - 1 and c < 2:
-                raise ValueError("interior coefficients must be >= 2")
-            if last and c < 0:
-                raise ValueError("final coefficient must be >= 0")
+        if cs[0] < 1:
+            raise ValueError("leading coefficient must be >= 1")
+        if any(c < 2 for c in cs[1:]):
+            raise ValueError("coefficients after the first must be >= 2")
 
     def __str__(self) -> str:
         head = str(self.coeffs[0])
@@ -142,8 +137,6 @@ def cf_eval(cf: ContinuedFraction) -> Slope:
     num, den = cf.coeffs[-1], 1
     for a in reversed(cf.coeffs[:-1]):
         # x -> a - 1/x, with x = num/den
-        if num == 0:
-            raise ValueError(f"malformed continued fraction {cf}")
         num, den = a * num - den, num
     return normalize(num, den)
 
@@ -261,17 +254,6 @@ def ccw_strictly_between(x: Slope, a: Slope, b: Slope) -> bool:
     if ka < kb:
         return ka < kx < kb
     return kx > ka or kx < kb
-
-
-def circularly_between(x: Slope, a: Slope, b: Slope) -> bool:
-    """True when x sits strictly inside the arc cut off by the edge (a, b)
-    on the side their mediant lands on."""
-    m = mediant(a, b)
-    if x == m:
-        return True
-    if ccw_strictly_between(m, a, b):
-        return ccw_strictly_between(x, a, b)
-    return ccw_strictly_between(x, b, a)
 
 
 def slope_floor(s: Slope) -> int:

@@ -36,7 +36,6 @@ from typing import Optional
 
 from .farey import Slope, intersect, normalize
 from .torus_knots import (
-    INFLUENCE_LOWER,
     INFLUENCE_UPPER,
     LOW_RANGE,
     NEGATIVE,
@@ -44,7 +43,6 @@ from .torus_knots import (
     TREFOIL_BAND,
     Region,
     TorusKnotSpec,
-    exceptional_slope,
     influence_interval,
     locate,
 )
@@ -172,11 +170,15 @@ class Classification:
     region: Region
     parameters: Parameters
     generators: tuple
-    simple: bool
 
     @property
     def tb_max(self) -> int:
         return self.parameters.tb_max
+
+    @property
+    def simple(self) -> bool:
+        """Legendrian simple: no generator is protected."""
+        return not self.branches
 
     @property
     def peaks(self) -> tuple:
@@ -187,22 +189,21 @@ class Classification:
         return tuple(g for g in self.generators if g.protected)
 
 
-def max_tb(cable: CableSpec) -> int:
-    """Maximal Thurston-Bennequin invariant of the cable.
-
-    ``r*s`` except in the low range 0 < s/r <= 1/w, where the tight bound
-    ``r*s - r + s*w`` is attained instead.
-    """
-    w = cable.knot.width
-    slope = cable.slope
-    if slope.is_positive() and slope.value <= exceptional_slope(cable.knot, 1).value:
-        return cable.r * cable.s - cable.r + cable.s * w
-    return cable.r * cable.s
-
-
 def bennequin_bound(cable: CableSpec) -> int:
     """Upper bound r*s - r + s*w for tb + |rot| coming from the Seifert genus."""
     return cable.r * cable.s - cable.r + cable.s * cable.knot.width
+
+
+def max_tb(cable: CableSpec) -> int:
+    """Maximal Thurston-Bennequin invariant of the cable.
+
+    The Bennequin bound in the low range 0 < s/r <= 1/w, where it is
+    attained, and ``r*s`` everywhere else: ``classify(cable).tb_max``
+    without building the generators.
+    """
+    if locate(cable.knot, cable.slope).kind == LOW_RANGE:
+        return bennequin_bound(cable)
+    return cable.r * cable.s
 
 
 def _peak_rots_from(r: int, s: int, shift: int, half_width: int) -> list:
@@ -216,7 +217,14 @@ def _peak_rots_from(r: int, s: int, shift: int, half_width: int) -> list:
 
 
 def classify(cable: CableSpec) -> Classification:
-    """Full classification of the Legendrian representatives of the cable."""
+    """Full classification of the Legendrian representatives of the cable.
+
+    ``tb_max`` is the Bennequin bound in the low range and ``r*s`` elsewhere,
+    as :func:`max_tb` says.  Each region contributes its peaks, its
+    ``protected_l`` pairs and at most one ``protected_k`` pair, in that
+    order and plus before minus, together with its own parameters.  The
+    classification is simple exactly when no generator is protected.
+    """
     knot, r, s = cable.knot, cable.r, cable.s
     w = knot.width
     slope = cable.slope
@@ -227,141 +235,64 @@ def classify(cable: CableSpec) -> Classification:
         )
     region = locate(knot, slope)
     rs = r * s
+    tb_max = bennequin_bound(cable) if region.kind == LOW_RANGE else rs
+    params = {}
+    k_pair = None  # (tb, |rot|, bound, destabilizable) of the protected_k heads
 
     if region.kind == LOW_RANGE:
-        peak = Generator(PEAK, tb=rs - r + s * w, rot=0)
-        return Classification(
-            cable=cable,
-            region=region,
-            parameters=Parameters(w=w, tb_max=peak.tb),
-            generators=(peak,),
-            simple=True,
-        )
-
-    if region.kind == NEGATIVE:
+        gens = [Generator(PEAK, tb=tb_max, rot=0)]
+    elif region.kind == NEGATIVE:
         n = (-r) // s  # floor(-r/s); r/s is never an integer here since s >= 2
-        rots = _peak_rots_from(r, s, n, w + n)
-        gens = tuple(Generator(PEAK, tb=rs, rot=i) for i in rots)
-        return Classification(
-            cable=cable,
-            region=region,
-            parameters=Parameters(w=w, tb_max=rs),
-            generators=gens,
-            simple=True,
-        )
-
-    if region.kind == TREFOIL_BAND:
+        gens = [Generator(PEAK, tb=rs, rot=i) for i in _peak_rots_from(r, s, n, w + n)]
+    elif region.kind == TREFOIL_BAND:
         n = region.index
-        gens = []
-        for i in sorted({s - r, r - s}):
-            gens.append(Generator(PEAK, tb=rs, rot=i))
-        for j in range(2, n + 1):
-            for sign in (1, -1):
-                gens.append(
-                    Generator(
-                        BRANCH_L,
-                        tb=rs,
-                        rot=sign * (s - r),
-                        sign=sign,
-                        index=j,
-                        bound=r - 1,
-                    )
-                )
-        c_prime = None
+        params.update(n=n, c=r - 1 if n >= 2 else None)
+        gens = [Generator(PEAK, tb=rs, rot=i) for i in sorted({s - r, r - s})]
+        gens += [
+            Generator(BRANCH_L, tb=rs, rot=sign * (s - r), sign=sign, index=j, bound=r - 1)
+            for j in range(2, n + 1)
+            for sign in (1, -1)
+        ]
         if s != r * n:
             delta = r * (n + 1) - s
-            c_prime = r - delta - 1
-            for sign in (1, -1):
-                gens.append(
-                    Generator(
-                        BRANCH_K,
-                        tb=rs - delta,
-                        rot=sign * r * n,
-                        sign=sign,
-                        bound=c_prime,
-                        destabilizable=False,
-                    )
-                )
-        simple = not any(g.protected for g in gens)
-        return Classification(
-            cable=cable,
-            region=region,
-            parameters=Parameters(
-                w=w,
-                n=n,
-                c=r - 1 if n >= 2 else None,
-                c_prime=c_prime,
-                tb_max=rs,
-            ),
-            generators=tuple(gens),
-            simple=simple,
-        )
+            params["c_prime"] = r - delta - 1
+            k_pair = (rs - delta, r * n, params["c_prime"], False)
+    else:  # positive slope above the low range: the shared peak family
+        k = r // s + 1  # ceil(r/s); r/s is never an integer here since s >= 2
+        params["k"] = k
+        gens = [Generator(PEAK, tb=rs, rot=i) for i in _peak_rots_from(r, s, -k, w - k)]
+        if region.kind != SIMPLE_MID:
+            n = region.index
+            iv = influence_interval(knot, n)
+            pair_upper = intersect(slope, iv.upper)
+            if region.kind == INFLUENCE_UPPER:
+                params["c"] = pair_upper - 1
+                k_pair = (rs, s * w - r, params["c"], True)
+            else:  # INFLUENCE_LOWER
+                pair_center = intersect(slope, iv.center)
+                params["c"] = pair_upper - pair_center - 1
+                k_pair = (rs - pair_center, r * (n - 1), params["c"], False)
+            params.update(n=n, e_n=iv.center, e_n_a=iv.upper, e_n_c=iv.lower)
 
-    # positive slope above the low range: the shared peak family
-    k = r // s + 1  # ceil(r/s); r/s is never an integer here since s >= 2
-    rots = _peak_rots_from(r, s, -k, w - k)
-    gens = [Generator(PEAK, tb=rs, rot=i) for i in rots]
-
-    if region.kind == SIMPLE_MID:
-        return Classification(
-            cable=cable,
-            region=region,
-            parameters=Parameters(w=w, k=k, tb_max=rs),
-            generators=tuple(gens),
-            simple=True,
-        )
-
-    n = region.index
-    iv = influence_interval(knot, n)
-    pair_upper = intersect(slope, iv.upper)
-    if region.kind == INFLUENCE_UPPER:
-        c = pair_upper - 1
-        for sign in (1, -1):
-            gens.append(
-                Generator(
-                    BRANCH_K,
-                    tb=rs,
-                    rot=sign * (s * w - r),
-                    sign=sign,
-                    bound=c,
-                )
+    if k_pair is not None:
+        tb, rot, bound, destabilizable = k_pair
+        gens += [
+            Generator(
+                BRANCH_K,
+                tb=tb,
+                rot=sign * rot,
+                sign=sign,
+                bound=bound,
+                destabilizable=destabilizable,
             )
-    else:  # INFLUENCE_LOWER
-        pair_center = intersect(slope, iv.center)
-        c = pair_upper - pair_center - 1
-        for sign in (1, -1):
-            gens.append(
-                Generator(
-                    BRANCH_K,
-                    tb=rs - pair_center,
-                    rot=sign * r * (n - 1),
-                    sign=sign,
-                    bound=c,
-                    destabilizable=False,
-                )
-            )
+            for sign in (1, -1)
+        ]
     return Classification(
         cable=cable,
         region=region,
-        parameters=Parameters(
-            w=w,
-            n=n,
-            k=k,
-            e_n=iv.center,
-            e_n_a=iv.upper,
-            e_n_c=iv.lower,
-            c=c,
-            tb_max=rs,
-        ),
+        parameters=Parameters(w=w, tb_max=tb_max, **params),
         generators=tuple(gens),
-        simple=False,
     )
-
-
-def peak_rotations(cable: CableSpec) -> list:
-    """Rotation numbers at maximal tb, one entry per generator (multiset)."""
-    cls = classify(cable)
-    return sorted(g.rot for g in cls.generators if g.tb == cls.tb_max)
 
 
 # -- the class model --------------------------------------------------------

@@ -10,7 +10,10 @@ generators fall into the top chain outright.
 
 ``classify_transverse`` builds the same data directly from the closed-form
 case analysis, without the Legendrian engine, so the two routes can be
-cross-checked.
+cross-checked: its maximal self-linking number is
+:func:`~torus_cables.legendrian.bennequin_bound`, the quotient's is read off
+the generators, and both name each branch after its generator's id.  A
+cable is transversely simple when the top chain is its only branch.
 """
 
 from __future__ import annotations
@@ -41,20 +44,6 @@ from .torus_knots import (
 TOP_CHAIN = "top"
 
 
-def pushoff_sl(tb: int, rot: int, sign: int) -> int:
-    """Self-linking of the positive (+1) or negative (-1) transverse push-off."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if (tb + rot) % 2 == 0:
-        raise ValueError("tb + rot must be odd")
-    return tb - sign * rot
-
-
-def max_sl(cable: CableSpec) -> int:
-    """Maximal self-linking number r*s - r + s*w."""
-    return bennequin_bound(cable)
-
-
 @dataclass(frozen=True)
 class TransverseBranch:
     """One chain of transverse classes: alive from sl_top down to
@@ -77,7 +66,11 @@ class TransverseClassification:
     cable: CableSpec
     max_sl: int
     branches: tuple
-    simple: bool
+
+    @property
+    def simple(self) -> bool:
+        """Transversely simple: the top chain is the only branch."""
+        return not self.side_branches
 
     @property
     def side_branches(self) -> tuple:
@@ -86,6 +79,7 @@ class TransverseClassification:
 
 def quotient_transverse(cls: Classification) -> TransverseClassification:
     """Transverse classes as negative-stabilization orbits of the model."""
+    # Read off the generators rather than bennequin_bound, so the routes stay independent.
     top_sl = max(g.tb + abs(g.rot) for g in cls.generators)
     branches = [TransverseBranch(TOP_CHAIN, top_sl, destabilizable=False)]
     for g in cls.branches:
@@ -108,7 +102,6 @@ def quotient_transverse(cls: Classification) -> TransverseClassification:
         cable=cls.cable,
         max_sl=top_sl,
         branches=tuple(branches),
-        simple=len(branches) == 1,
     )
 
 
@@ -129,14 +122,14 @@ def classify_transverse(cable: CableSpec) -> TransverseClassification:
             "formulas do not cover; only r >= width is supported for s = 1"
         )
     region = locate(knot, cable.slope)
-    top = rs - r + s * w
+    top = bennequin_bound(cable)
     branches = [TransverseBranch(TOP_CHAIN, top, destabilizable=False)]
     if region.kind == TREFOIL_BAND:
         n = region.index
-        for _ in range(n - 1):
+        for j in range(2, n + 1):
             branches.append(
                 TransverseBranch(
-                    origin="protected_l:+",
+                    origin=f"protected_l:{j}:+",
                     sl_top=rs + r - s,
                     destabilizable=False,
                     merge_sl=rs - r - s,
@@ -181,7 +174,6 @@ def classify_transverse(cable: CableSpec) -> TransverseClassification:
         cable=cable,
         max_sl=top,
         branches=tuple(branches),
-        simple=len(branches) == 1,
     )
 
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import shlex
@@ -250,3 +251,18 @@ def test_readme_examples_replay():
     for argv, expected in examples:
         code, out, _ = invoke(*argv)
         assert (code, out) == (0, expected), argv
+
+
+def test_readme_quick_start_replay():
+    # Runs README's "Library quick start" block and checks every "# value".
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    namespace, checked = {}, 0
+    for line in block.split("```\n", 1)[0].splitlines():
+        code, _, expected = line.partition("  # ")
+        if expected:
+            assert eval(code, namespace) == ast.literal_eval(expected), line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 4

@@ -17,7 +17,6 @@ from torus_cables.farey import (
     cf_eval,
     cf_expand,
     circular_key,
-    circularly_between,
     extreme_neighbors,
     farey_combine,
     intersect,
@@ -63,8 +62,14 @@ def test_cf_expand_rejects_nonpositive():
 def test_cf_eval_examples():
     assert cf_eval(ContinuedFraction((2, 3))) == S("5/3")
     assert cf_eval(ContinuedFraction((1,))) == S("1/1")
-    assert cf_eval(ContinuedFraction((2, 2, 1))) == S("1/1")
-    assert cf_eval(ContinuedFraction((0,))) == S("0/1")
+    assert cf_eval(ContinuedFraction((2, 2, 2))) == S("4/3")
+    assert cf_eval(ContinuedFraction((1, 2))) == S("1/2")
+
+
+def test_continued_fraction_is_canonical_only():
+    for coeffs in ((2, 2, 1), (0,), (2, 0), ()):
+        with pytest.raises(ValueError):
+            ContinuedFraction(coeffs)
 
 
 def test_cf_invariants():
@@ -168,8 +173,9 @@ def test_farey_combine_stays_inside_the_edge_interval():
         for m in range(1, 4):
             for n in range(1, 4):
                 c = farey_combine(a, b, m, n)
-                assert circularly_between(c, a, b)
-                assert circularly_between(c, b, a)
+                # the arc of the edge (a, b) that holds their mediant
+                lo, hi = (a, b) if ccw_strictly_between(mediant(a, b), a, b) else (b, a)
+                assert ccw_strictly_between(c, lo, hi), (a, b, m, n)
 
 
 def test_is_edge_examples():

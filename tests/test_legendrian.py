@@ -15,7 +15,6 @@ from torus_cables.legendrian import (
     divide_tb,
     max_tb,
     mountain_range,
-    peak_rotations,
     ruling_tb,
     stabilize,
 )
@@ -55,6 +54,22 @@ def test_max_tb_examples():
     assert max_tb(CableSpec(T23, 2, 3)) == 6
     assert max_tb(CableSpec(T23, 3, 2)) == 5
     assert max_tb(CableSpec(T25, 3, 2)) == 6
+
+
+def test_max_tb_equals_classify_tb_max():
+    # Criterion 10's knots; the grid holds every s = 1, r >= w cable of them.
+    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
+    checked = low_s1 = 0
+    for spec in knots:
+        for r, s in reduced_pairs(30):
+            if s == 1 and r < spec.width:
+                continue
+            cable = CableSpec(spec, r, s)
+            assert max_tb(cable) == classify(cable).tb_max, cable
+            checked += 1
+            low_s1 += s == 1
+    assert low_s1 == sum(31 - spec.width for spec in knots)
+    assert checked > 6000
 
 
 def test_bennequin_examples():
@@ -135,9 +150,14 @@ def test_classify_rejects_degenerate_s1():
 
 
 def test_peak_rotations_examples():
-    assert peak_rotations(CableSpec(T23, 3, -2)) == [-5, -3, -1, 1, 3, 5]
-    assert peak_rotations(CableSpec(T25, 3, 2)) == [-3, -3, -1, 1, 3, 3]
-    assert peak_rotations(CableSpec(T23, 2, 3)) == [-1, 1]
+    # rotation numbers at maximal tb, one entry per generator (multiset)
+    def at_tb_max(cable):
+        cls = classify(cable)
+        return sorted(g.rot for g in cls.generators if g.tb == cls.tb_max)
+
+    assert at_tb_max(CableSpec(T23, 3, -2)) == [-5, -3, -1, 1, 3, 5]
+    assert at_tb_max(CableSpec(T25, 3, 2)) == [-3, -3, -1, 1, 3, 3]
+    assert at_tb_max(CableSpec(T23, 2, 3)) == [-1, 1]
 
 
 def test_peak_rotations_cardinality_negative_case():

@@ -6,8 +6,6 @@ from torus_cables.transverse import (
     TOP_CHAIN,
     classify_transverse,
     count_transverse,
-    max_sl,
-    pushoff_sl,
     quotient_transverse,
     verify_qualitative,
 )
@@ -23,19 +21,14 @@ def side_branches(t):
     return sorted((b.sl_top, b.merge_sl) for b in t.side_branches)
 
 
-def test_pushoff_examples():
-    assert pushoff_sl(6, 1, 1) == 5
-    assert pushoff_sl(6, -1, 1) == 7
-    assert pushoff_sl(5, 2, 1) == 3
-    assert pushoff_sl(5, 2, -1) == 7
-    with pytest.raises(ValueError):
-        pushoff_sl(6, 2, 1)
-
-
 def test_max_sl_examples():
-    assert max_sl(CableSpec(T23, 2, 3)) == 7
-    assert max_sl(CableSpec(T25, 3, 2)) == 9
-    assert max_sl(CableSpec(T23, 2, 5)) == 13
+    for cable, expected in (
+        (CableSpec(T23, 2, 3), 7),
+        (CableSpec(T25, 3, 2), 9),
+        (CableSpec(T23, 2, 5), 13),
+    ):
+        assert quotient_transverse(classify(cable)).max_sl == expected, cable
+        assert classify_transverse(cable).max_sl == expected, cable
 
 
 def test_quotient_trefoil_2_3():
