@@ -13,7 +13,6 @@ the negative slopes continuing from -infinity back around to 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -254,8 +253,3 @@ def ccw_strictly_between(x: Slope, a: Slope, b: Slope) -> bool:
     if ka < kb:
         return ka < kx < kb
     return kx > ka or kx < kb
-
-
-def slope_floor(s: Slope) -> int:
-    """Floor of a finite slope."""
-    return math.floor(s.value)

@@ -36,9 +36,9 @@ from typing import Optional
 
 from .farey import Slope, intersect, normalize
 from .torus_knots import (
+    INFLUENCE_LOWER,
     INFLUENCE_UPPER,
     LOW_RANGE,
-    NEGATIVE,
     SIMPLE_MID,
     TREFOIL_BAND,
     Region,
@@ -194,45 +194,55 @@ def bennequin_bound(cable: CableSpec) -> int:
     return cable.r * cable.s - cable.r + cable.s * cable.knot.width
 
 
+def _check_framing(cable: CableSpec) -> None:
+    """Reject the (r,1)-cables with r < w: the underlying knot itself."""
+    if cable.s == 1 and cable.r < cable.knot.width:
+        raise ValueError(
+            f"the ({cable.r},1)-cable is the underlying knot with a framing the cable "
+            "formulas do not cover; only r >= width is supported for s = 1"
+        )
+
+
 def max_tb(cable: CableSpec) -> int:
     """Maximal Thurston-Bennequin invariant of the cable.
 
     The Bennequin bound in the low range 0 < s/r <= 1/w, where it is
     attained, and ``r*s`` everywhere else: ``classify(cable).tb_max``
-    without building the generators.
+    without building the generators.  Rejects the ``s = 1`` cables that
+    :func:`classify` rejects.
     """
+    _check_framing(cable)
     if locate(cable.knot, cable.slope).kind == LOW_RANGE:
         return bennequin_bound(cable)
     return cable.r * cable.s
 
 
-def _peak_rots_from(r: int, s: int, shift: int, half_width: int) -> list:
-    """Rotation numbers +/-(r + s*(shift + l)) for l = half_width, ..., -half_width."""
-    rots = set()
-    for l in range(half_width, -half_width - 1, -2):
-        v = r + s * (shift + l)
-        rots.add(v)
-        rots.add(-v)
-    return sorted(rots)
+def _peak_rots(r: int, s: int, k: int, w: int) -> list:
+    """Rotation numbers of the maximal-tb peaks, sorted: the cables of the
+    Legendrian torus knots L with ``tb(L) = k``, that is
+    ``+/-(r - s*k) + s*rot(L)`` for ``rot(L)`` in ``k-w, k-w+2, ..., w-k``."""
+    return sorted(
+        {sign * (r - s * k) + s * rho for rho in range(k - w, w - k + 1, 2) for sign in (1, -1)}
+    )
 
 
 def classify(cable: CableSpec) -> Classification:
     """Full classification of the Legendrian representatives of the cable.
 
     ``tb_max`` is the Bennequin bound in the low range and ``r*s`` elsewhere,
-    as :func:`max_tb` says.  Each region contributes its peaks, its
-    ``protected_l`` pairs and at most one ``protected_k`` pair, in that
-    order and plus before minus, together with its own parameters.  The
-    classification is simple exactly when no generator is protected.
+    as :func:`max_tb` says.  The low range has one peak at rot 0.  Every
+    other region, negative slopes and the trefoil bands included, has the
+    one peak family of :func:`_peak_rots` with ``k = ceil(r/s)``: the peaks
+    are cables of the Legendrian torus knots with ``tb(L) = k``.  Each
+    region adds its ``protected_l`` pairs and at most one ``protected_k``
+    pair, in that order and plus before minus, together with its own
+    parameters.  The classification is simple exactly when no generator is
+    protected.
     """
     knot, r, s = cable.knot, cable.r, cable.s
     w = knot.width
     slope = cable.slope
-    if s == 1 and r < w:
-        raise ValueError(
-            f"the ({r},1)-cable is the underlying knot with a framing the cable "
-            "formulas do not cover; only r >= width is supported for s = 1"
-        )
+    _check_framing(cable)
     region = locate(knot, slope)
     rs = r * s
     tb_max = bennequin_bound(cable) if region.kind == LOW_RANGE else rs
@@ -241,13 +251,12 @@ def classify(cable: CableSpec) -> Classification:
 
     if region.kind == LOW_RANGE:
         gens = [Generator(PEAK, tb=tb_max, rot=0)]
-    elif region.kind == NEGATIVE:
-        n = (-r) // s  # floor(-r/s); r/s is never an integer here since s >= 2
-        gens = [Generator(PEAK, tb=rs, rot=i) for i in _peak_rots_from(r, s, n, w + n)]
-    elif region.kind == TREFOIL_BAND:
+    else:
+        k = -(-r // s)  # ceil(r/s)
+        gens = [Generator(PEAK, tb=rs, rot=i) for i in _peak_rots(r, s, k, w)]
+    if region.kind == TREFOIL_BAND:
         n = region.index
         params.update(n=n, c=r - 1 if n >= 2 else None)
-        gens = [Generator(PEAK, tb=rs, rot=i) for i in sorted({s - r, r - s})]
         gens += [
             Generator(BRANCH_L, tb=rs, rot=sign * (s - r), sign=sign, index=j, bound=r - 1)
             for j in range(2, n + 1)
@@ -257,10 +266,8 @@ def classify(cable: CableSpec) -> Classification:
             delta = r * (n + 1) - s
             params["c_prime"] = r - delta - 1
             k_pair = (rs - delta, r * n, params["c_prime"], False)
-    else:  # positive slope above the low range: the shared peak family
-        k = r // s + 1  # ceil(r/s); r/s is never an integer here since s >= 2
+    elif region.kind in (SIMPLE_MID, INFLUENCE_UPPER, INFLUENCE_LOWER):
         params["k"] = k
-        gens = [Generator(PEAK, tb=rs, rot=i) for i in _peak_rots_from(r, s, -k, w - k)]
         if region.kind != SIMPLE_MID:
             n = region.index
             iv = influence_interval(knot, n)

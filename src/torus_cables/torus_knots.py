@@ -20,7 +20,6 @@ from .farey import (
     ccw_strictly_between,
     neighbors,
     normalize,
-    slope_floor,
 )
 
 LOW_RANGE = "low_range"
@@ -123,31 +122,33 @@ def locate(spec: TorusKnotSpec, slope: Slope) -> Region:
 
     The regions partition the valid slopes: negative, low range
     (0 < slope <= 1/w), the two halves of each interval of influence with
-    coprime index, and the simple middle range.  For the trefoil every
+    coprime index, and the simple middle range.  One floor division places
+    a slope ``a/b`` above the low range: ``n = floor(a*w/b)`` gives
+    ``n/w <= a/b < (n+1)/w``, so only the upper half of the n-th interval
+    or the lower half of the (n+1)-th can hold it.  For the trefoil every
     integer index is exceptional and the intervals are nested, so positive
-    slopes >= 1 are tagged by the integer band [n, n+1) they fall in.
+    slopes >= 1 are tagged by the integer band [n, n+1) they fall in,
+    ``n = floor(a/b)``.
     """
     if slope.is_infinite or slope.num == 0:
         raise ValueError("cable slopes must be finite and nonzero")
-    if slope.is_negative():
+    a, b = slope.num, slope.den
+    if a < 0:
         return Region(NEGATIVE)
     if spec.is_trefoil:
-        if slope.value >= 1:
-            return Region(TREFOIL_BAND, slope_floor(slope))
-        return Region(LOW_RANGE)
+        return Region(TREFOIL_BAND, a // b) if a >= b else Region(LOW_RANGE)
     w = spec.width
-    if slope.value <= exceptional_slope(spec, 1).value:
+    if a * w <= b:
         return Region(LOW_RANGE)
-    scaled = slope.value * w
-    lo = scaled.numerator // scaled.denominator
-    for n in {lo, lo + 1}:
-        if n < 2 or gcd(n, w) != 1:
-            continue
-        iv = influence_interval(spec, n)
-        if iv.in_upper_half(slope):
+    n = a * w // b
+    if n >= 2 and gcd(n, w) == 1:
+        upper = influence_interval(spec, n).upper  # 1/0 passes too: a*0 < 1*b
+        if a * upper.den < upper.num * b:
             return Region(INFLUENCE_UPPER, n)
-        if iv.lower.value < slope.value < iv.center.value:
-            return Region(INFLUENCE_LOWER, n)
+    if gcd(n + 1, w) == 1:
+        lower = influence_interval(spec, n + 1).lower
+        if lower.num * b < a * lower.den:
+            return Region(INFLUENCE_LOWER, n + 1)
     return Region(SIMPLE_MID)
 
 
@@ -194,78 +195,60 @@ def tori_census(spec: TorusKnotSpec, slope: Slope) -> CensusRecord:
     of the given slope, and how many of them are (or thicken to) standard
     neighborhoods of Legendrian knots.
 
-    Covered slopes: trefoil slopes > 1; general slopes >= 1/w split into the
-    reciprocal-integer case, the generic case, and the influence case; and
-    negative slopes strictly between consecutive reciprocal integers.
-    Anything else is rejected rather than guessed.
+    One rule counts both signs: a slope ``a/b`` strictly between ``1/t``
+    and ``1/(t-1)``, ``t = floor(b/a) + 1`` (``1/0`` is -infinity below and
+    +infinity above), gives ``2*(w - t + 1)`` tori, each thickening to a
+    standard neighborhood of a ``tb = t`` Legendrian knot, plus the two
+    trapped at ``n/w`` in the upper half of the n-th interval of influence.
+    ``1/t`` itself gives ``w - t + 1``; trefoil slopes > 1 count per band.
+    Positive slopes below ``1/w``, ``-1/t`` and the trefoil's ``(0, 1]``
+    are rejected rather than guessed.
     """
     if slope.is_infinite or slope.num == 0:
         raise ValueError("census slopes must be finite and nonzero")
+    a, b = slope.num, slope.den
     w = spec.width
-    if spec.is_trefoil:
-        if slope.value > 1:
-            n = slope_floor(slope)
-            return CensusRecord(
-                torus_count=2 * n,
-                standard_count=2,
-                dividing_curve_pairs=1,
-                note=f"band [{n},{n + 1}): two thicken to a standard neighborhood",
-            )
-        if slope.is_negative():
-            return _negative_census(spec, slope)
-        raise ValueError(f"census for the trefoil covers slopes > 1 and negative slopes, not {slope}")
-    if slope.is_negative():
-        return _negative_census(spec, slope)
-    # positive slope, general knot
-    if slope.num == 1:
-        n = slope.den
-        if n > w:
-            raise ValueError(f"slope {slope} lies below 1/{w}; the census does not cover it")
-        count = w - n + 1
+    if spec.is_trefoil and a > 0:
+        if a <= b:
+            raise ValueError(f"census for the trefoil covers slopes > 1 and negative slopes, not {slope}")
+        n = a // b
+        return CensusRecord(
+            torus_count=2 * n,
+            standard_count=2,
+            dividing_curve_pairs=1,
+            note=f"band [{n},{n + 1}): two thicken to a standard neighborhood",
+        )
+    if a > 0 and a * w < b:
+        raise ValueError(f"slope {slope} lies below 1/{w}; the census does not cover it")
+    if a == 1:
+        count = w - b + 1
         return CensusRecord(
             torus_count=count,
             standard_count=count,
             dividing_curve_pairs=1,
-            note=f"each is a standard neighborhood of a tb={n} representative",
+            note=f"each is a standard neighborhood of a tb={b} representative",
         )
-    if slope.value < Slope(1, w).value:
-        raise ValueError(f"slope {slope} lies below 1/{w}; the census does not cover it")
-    # 1/n < slope < 1/(n-1) with n >= 1 (n = 1 meaning slope > 1)
-    recip = 1 / slope.value
-    n = recip.numerator // recip.denominator + 1
-    base = 2 * (w - n + 1)
+    if a == -1:
+        raise ValueError(f"negative reciprocal-integer slope {slope} is not covered by the census")
+    t = b // a + 1  # 1/t < slope < 1/(t-1)
+    count = 2 * (w - t + 1)
     region = locate(spec, slope)
     if region.kind == INFLUENCE_UPPER:
         return CensusRecord(
-            torus_count=base + 2,
-            standard_count=base,
+            torus_count=count + 2,
+            standard_count=count,
             dividing_curve_pairs=1,
             note=f"all but the two tori trapped at slope {exceptional_slope(spec, region.index)} "
-            f"thicken to standard neighborhoods of tb={n} representatives",
+            f"thicken to standard neighborhoods of tb={t} representatives",
         )
-    return CensusRecord(
-        torus_count=base,
-        standard_count=base,
-        dividing_curve_pairs=1,
-        note=f"each thickens to a standard neighborhood of a tb={n} representative",
-    )
-
-
-def _negative_census(spec: TorusKnotSpec, slope: Slope) -> CensusRecord:
-    # slope strictly between 1/(n+1) and 1/n for a negative integer n; the
-    # count pairs two basic slices with each Legendrian class of tb = n + 1.
-    w = spec.width
-    v = slope.value
-    n = -1 if v <= -1 else v.denominator // v.numerator  # floor(1/v) on (-1, 0)
-    if 1 / v == n:
-        raise ValueError(f"negative reciprocal-integer slope {slope} is not covered by the census")
-    count = 2 * (w - n)
+    note = f"each thickens to a standard neighborhood of a tb={t} representative"
+    if a < 0:
+        note += " (count by the basic-slice pairing)"
     return CensusRecord(
         torus_count=count,
         standard_count=count,
         dividing_curve_pairs=1,
-        note=f"each thickens to a standard neighborhood of a tb={n + 1} representative "
-        "(count by the basic-slice pairing)",
+        note=note,
     )
 
 
@@ -341,15 +324,13 @@ def thickening_outcome(
 
 def _outcome_without_context(spec, dividing, curve_pairs):
     w = spec.width
-    if dividing.is_positive() and not dividing.is_infinite:
-        scaled = dividing.value * w
-        if scaled.denominator == 1:
-            k = scaled.numerator
-            if curve_pairs == gcd(w, k):
-                raise ValueError(
-                    f"slope {dividing} with {2 * curve_pairs} dividing curves may or may not "
-                    "thicken; supply the containing torus index"
-                )
+    if dividing.is_positive():
+        k, rem = divmod(dividing.num * w, dividing.den)
+        if rem == 0 and curve_pairs == gcd(w, k):  # dividing = k/w
+            raise ValueError(
+                f"slope {dividing} with {2 * curve_pairs} dividing curves may or may not "
+                "thicken; supply the containing torus index"
+            )
         if locate(spec, dividing).kind in (INFLUENCE_UPPER, TREFOIL_BAND):
             raise ValueError(
                 f"slope {dividing} lies in an interval of influence; the outcome "

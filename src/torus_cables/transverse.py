@@ -26,6 +26,7 @@ from .farey import farey_combine, intersect
 from .legendrian import (
     CableSpec,
     Classification,
+    _check_framing,
     bennequin_bound,
     classes_at,
     classify,
@@ -116,11 +117,7 @@ def classify_transverse(cable: CableSpec) -> TransverseClassification:
     knot, r, s = cable.knot, cable.r, cable.s
     w = knot.width
     rs = r * s
-    if s == 1 and r < w:
-        raise ValueError(
-            f"the ({r},1)-cable is the underlying knot with a framing the cable "
-            "formulas do not cover; only r >= width is supported for s = 1"
-        )
+    _check_framing(cable)
     region = locate(knot, cable.slope)
     top = bennequin_bound(cable)
     branches = [TransverseBranch(TOP_CHAIN, top, destabilizable=False)]

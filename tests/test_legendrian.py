@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from torus_cables.legendrian import (
     stabilize,
 )
 from torus_cables.torus_knots import TorusKnotSpec
+from torus_cables.transverse import classify_transverse
 
 from conftest import S, reduced_pairs
 
@@ -141,10 +143,15 @@ def test_classify_trefoil_integer_slope():
 
 
 def test_classify_rejects_degenerate_s1():
-    with pytest.raises(ValueError):
-        classify(CableSpec(T25, 2, 1))  # slope 1/2 above the low range
-    with pytest.raises(ValueError):
-        classify(CableSpec(T25, -3, 1))
+    # slopes 1/1 and 1/2 above the low range, and a negative slope
+    for r in (1, 2, -3):
+        message = (
+            f"the ({r},1)-cable is the underlying knot with a framing the cable "
+            "formulas do not cover; only r >= width is supported for s = 1"
+        )
+        for fn in (classify, classify_transverse, max_tb):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(CableSpec(T25, r, 1))
     # s = 1 with r >= width is the honest low-range case
     assert classify(CableSpec(T25, 3, 1)).simple
 

@@ -1,8 +1,11 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torus_cables.farey import Slope, intersect, mediant
+from torus_cables.farey import Slope, intersect, mediant, normalize
 from torus_cables.torus_knots import (
     INFLUENCE_LOWER,
     INFLUENCE_UPPER,
@@ -26,6 +29,7 @@ from conftest import S
 T23 = TorusKnotSpec(2, 3)
 T25 = TorusKnotSpec(2, 5)
 T34 = TorusKnotSpec(3, 4)
+T57 = TorusKnotSpec(5, 7)
 
 
 def test_spec_validation():
@@ -125,6 +129,32 @@ def test_locate_partition_exhaustive():
                     assert (region.kind, region.index) == expected, f"{spec} {slope}"
                 else:
                     assert region.kind == expected, f"{spec} {slope}"
+
+
+@st.composite
+def _knots_and_slopes(draw):
+    q = draw(st.integers(3, 40))
+    p = draw(st.integers(2, q - 1).filter(lambda p: gcd(p, q) == 1))
+    spec = TorusKnotSpec(p, q)
+    w = spec.width
+    if draw(st.booleans()):  # within 1/(w*m) of n/w, where the intervals sit
+        n, m, d = draw(st.integers(1, 3 * w)), draw(st.integers(2, 3 * w)), draw(st.integers(-1, 1))
+        return spec, normalize(n * m + d, w * m)
+    den = draw(st.integers(1, 3 * w))
+    num = draw(st.integers(-3 * den, 3 * den).filter(lambda a: a != 0 and gcd(abs(a), den) == 1))
+    return spec, Slope(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_knots_and_slopes())
+def test_locate_matches_scan_on_wide_knots(case):
+    spec, slope = case
+    region = locate(spec, slope)
+    expected = _region_by_scan(spec, slope)
+    if isinstance(expected, tuple):
+        assert (region.kind, region.index) == expected
+    else:
+        assert region.kind == expected
 
 
 def test_disjointness_quick():
@@ -234,6 +264,47 @@ def test_census_negative():
     rec = tori_census(T25, S("-2/3"))  # between -1 and -1/2, tb target -1
     assert rec.torus_count == rec.standard_count == 2 * (3 - (-2))
     assert "tb=-1" in rec.note
+
+
+def _census_target_by_scan(v):
+    # The integer t with 1/t < v < 1/(t-1); 1/0 is -infinity as the lower
+    # end and +infinity as the upper end.  None for 0 and reciprocals.
+    for t in range(-v.denominator - 1, v.denominator + 2):
+        above_lower = t == 0 or Fraction(1, t) < v
+        below_upper = t == 1 or v < Fraction(1, t - 1)
+        if above_lower and below_upper:
+            return t
+    return None
+
+
+def test_census_matches_reciprocal_scan_over_both_signs():
+    below_minus_one = above_one = 0
+    for spec, signs in ((T25, (1, -1)), (T34, (1, -1)), (T57, (1, -1)), (T23, (-1,))):
+        w = spec.width
+        for den in range(1, 21):
+            for num in (sign * a for sign in signs for a in range(1, 3 * den + 1)):
+                if gcd(abs(num), den) != 1:
+                    continue
+                slope, v = Slope(num, den), Fraction(num, den)
+                if (num > 0 and v < Fraction(1, w)) or num == -1:
+                    with pytest.raises(ValueError):
+                        tori_census(spec, slope)
+                    continue
+                rec = tori_census(spec, slope)
+                if num == 1:  # the reciprocal integer 1/den
+                    assert rec.torus_count == rec.standard_count == w - den + 1, (spec, slope)
+                    assert f"tb={den}" in rec.note
+                    continue
+                t = _census_target_by_scan(v)
+                assert rec.standard_count == 2 * (w - t + 1), (spec, slope)
+                assert f"tb={t}" in rec.note, (spec, slope, rec.note)
+                upper = locate(spec, slope).kind == INFLUENCE_UPPER
+                extra = rec.torus_count - rec.standard_count
+                assert extra == (2 if upper else 0), (spec, slope)
+                below_minus_one += v < -1
+                above_one += v > 1
+    # the grid reaches v <= -1, where floor(b/a) is -1, and non-trefoil v > 1
+    assert (below_minus_one, above_one) == (1024, 768)
 
 
 def test_thickening_outcome_examples():
