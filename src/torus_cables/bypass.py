@@ -30,15 +30,13 @@ SIDES = (FRONT, BACK)
 
 @dataclass(frozen=True)
 class TorusState:
-    """Standard convex torus: dividing slope, ruling slope, curve pairs."""
+    """Standard convex torus with two dividing curves: dividing slope and
+    ruling slope."""
 
     dividing: Slope
     ruling: Slope
-    curve_pairs: int = 1
 
     def __post_init__(self):
-        if self.curve_pairs < 1:
-            raise ValueError("curve_pairs must be a positive integer")
         if self.dividing == self.ruling:
             raise ValueError("ruling slope must differ from the dividing slope")
 
@@ -46,8 +44,6 @@ class TorusState:
 def _check(state: TorusState, side: str) -> None:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if state.curve_pairs != 1:
-        raise ValueError("the slope rule applies only to tori with two dividing curves")
 
 
 def _first_neighbor_ccw_after(s: Slope, r: Slope) -> Slope:

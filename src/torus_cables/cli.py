@@ -135,30 +135,29 @@ def transverse_payload(cls: Classification, tcls: TransverseClassification) -> d
     return payload
 
 
+_GLYPHS = ".123456789abcdefghijklmnopqrstuvwxyz*"  # indexed by min(count, 36)
+
+
 def render_mountain(mr: MountainRange) -> str:
     """ASCII grid: tb rows descending, one column per rot in the populated
-    span, digits (letters from ten up) at populated cells and dots elsewhere."""
+    span, digits (letters from ten up, ``*`` from 36) at populated cells and
+    dots elsewhere."""
     if not mr.counts:
         raise ValueError("empty mountain range")
-    rots = sorted({rot for rot, _ in mr.counts})
-    lo, hi = rots[0], rots[-1]
-    span = list(range(lo, hi + 1))
-    colw = max(len(str(r)) for r in span) + 1
-    gutter = max(len(str(tb)) for tb in range(mr.tb_floor, mr.tb_max + 1))
-    lines = [" " * gutter + "".join(str(r).rjust(colw) for r in span)]
+    rows = {}  # tb -> its populated rots
+    for rot, tb in mr.counts:
+        rows.setdefault(tb, []).append(rot)
+    lo, hi = min(rot for rot, _ in mr.counts), max(rot for rot, _ in mr.counts)
+    # The widest label of a range of integers sits at one of its ends.
+    colw = max(len(str(lo)), len(str(hi))) + 1
+    gutter = max(len(str(mr.tb_floor)), len(str(mr.tb_max)))
+    pad = " " * (colw - 1)  # every glyph is one character wide
+    lines = [" " * gutter + "".join(str(rot).rjust(colw) for rot in range(lo, hi + 1))]
     for tb in range(mr.tb_max, mr.tb_floor - 1, -1):
-        cells = []
-        for rot in span:
-            c = mr.count(rot, tb)
-            if c == 0:
-                cells.append(".".rjust(colw))
-            elif c < 10:
-                cells.append(str(c).rjust(colw))
-            elif c < 36:
-                cells.append(chr(ord("a") + c - 10).rjust(colw))
-            else:
-                cells.append("*".rjust(colw))
-        lines.append(str(tb).rjust(gutter) + "".join(cells))
+        row = ["."] * (hi - lo + 1)
+        for rot in rows.pop(tb, ()):
+            row[rot - lo] = _GLYPHS[min(mr.counts[rot, tb], 36)]
+        lines.append(str(tb).rjust(gutter) + pad + pad.join(row))
     return "\n".join(lines)
 
 

@@ -342,11 +342,6 @@ def classes_at(cls: Classification, rot: int, tb: int) -> list:
     return found
 
 
-def count_classes(cls: Classification, rot: int, tb: int) -> int:
-    """Number of Legendrian classes realizing (rot, tb)."""
-    return len(classes_at(cls, rot, tb))
-
-
 def stabilize(klass, sign: int):
     """Stabilize a class: tb drops by one, rot moves by ``sign``.
 
@@ -411,12 +406,6 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
         tb, rots = rows.pop()
         counts.update(((rot, tb), n) for rot, n in Counter(rots).items())
     return MountainRange(tb_floor=tb_floor, tb_max=cls.tb_max, counts=counts)
-
-
-def count_three_points(cls: Classification, tb_floor: int) -> list:
-    """Lattice points carrying three classes, scanned down to the floor."""
-    mr = mountain_range(cls, tb_floor)
-    return sorted(pt for pt, c in mr.counts.items() if c == 3)
 
 
 # -- invariants of curves on convex tori -------------------------------------

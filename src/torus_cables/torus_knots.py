@@ -212,41 +212,30 @@ def tori_census(spec: TorusKnotSpec, slope: Slope) -> CensusRecord:
         if a <= b:
             raise ValueError(f"census for the trefoil covers slopes > 1 and negative slopes, not {slope}")
         n = a // b
-        return CensusRecord(
-            torus_count=2 * n,
-            standard_count=2,
-            dividing_curve_pairs=1,
-            note=f"band [{n},{n + 1}): two thicken to a standard neighborhood",
-        )
-    if a > 0 and a * w < b:
+        count, standard = 2 * n, 2
+        note = f"band [{n},{n + 1}): two thicken to a standard neighborhood"
+    elif a > 0 and a * w < b:
         raise ValueError(f"slope {slope} lies below 1/{w}; the census does not cover it")
-    if a == 1:
-        count = w - b + 1
-        return CensusRecord(
-            torus_count=count,
-            standard_count=count,
-            dividing_curve_pairs=1,
-            note=f"each is a standard neighborhood of a tb={b} representative",
-        )
-    if a == -1:
+    elif a == 1:
+        count = standard = w - b + 1
+        note = f"each is a standard neighborhood of a tb={b} representative"
+    elif a == -1:
         raise ValueError(f"negative reciprocal-integer slope {slope} is not covered by the census")
-    t = b // a + 1  # 1/t < slope < 1/(t-1)
-    count = 2 * (w - t + 1)
-    region = locate(spec, slope)
-    if region.kind == INFLUENCE_UPPER:
-        return CensusRecord(
-            torus_count=count + 2,
-            standard_count=count,
-            dividing_curve_pairs=1,
-            note=f"all but the two tori trapped at slope {exceptional_slope(spec, region.index)} "
-            f"thicken to standard neighborhoods of tb={t} representatives",
-        )
-    note = f"each thickens to a standard neighborhood of a tb={t} representative"
-    if a < 0:
-        note += " (count by the basic-slice pairing)"
+    else:
+        t = b // a + 1  # 1/t < slope < 1/(t-1)
+        count = standard = 2 * (w - t + 1)
+        region = locate(spec, slope)
+        if region.kind == INFLUENCE_UPPER:
+            count += 2
+            note = (f"all but the two tori trapped at slope {exceptional_slope(spec, region.index)} "
+                    f"thicken to standard neighborhoods of tb={t} representatives")
+        else:
+            note = f"each thickens to a standard neighborhood of a tb={t} representative"
+            if a < 0:
+                note += " (count by the basic-slice pairing)"
     return CensusRecord(
         torus_count=count,
-        standard_count=count,
+        standard_count=standard,
         dividing_curve_pairs=1,
         note=note,
     )
@@ -276,22 +265,19 @@ def thickening_outcome(
     dividing: Slope,
     curve_pairs: int,
     inside_index: Optional[int] = None,
-    inside_sign: int = 1,
 ) -> ThickeningOutcome:
     """Thickening behavior of a convex solid torus representing the knot.
 
-    ``inside_index``/``inside_sign`` identify a containing non-thickenable
-    torus when that topological context is known; it cannot be recovered
-    from the slope alone.  Without it, only slopes outside every upper-half
-    interval of influence are decidable (they thicken maximally), and
-    ambiguous inputs are rejected.
+    ``inside_index`` identifies a containing non-thickenable torus when
+    that topological context is known; it cannot be recovered from the
+    slope alone.  Without it, only slopes outside every upper-half interval
+    of influence are decidable (they thicken maximally), and ambiguous
+    inputs are rejected.
     """
     if curve_pairs < 1:
         raise ValueError("curve_pairs must be a positive integer")
     if dividing.num == 0:
         raise ValueError("the meridian is not a valid dividing slope")
-    if inside_sign not in (1, -1):
-        raise ValueError("inside_sign must be +1 or -1")
     w = spec.width
     if inside_index is None:
         return _outcome_without_context(spec, dividing, curve_pairs)

@@ -120,57 +120,31 @@ def classify_transverse(cable: CableSpec) -> TransverseClassification:
     _check_framing(cable)
     region = locate(knot, cable.slope)
     top = bennequin_bound(cable)
-    branches = [TransverseBranch(TOP_CHAIN, top, destabilizable=False)]
+    branches = [(TOP_CHAIN, top, None)]  # (origin, sl_top, merge_sl) of each branch
     if region.kind == TREFOIL_BAND:
         n = region.index
-        for j in range(2, n + 1):
-            branches.append(
-                TransverseBranch(
-                    origin=f"protected_l:{j}:+",
-                    sl_top=rs + r - s,
-                    destabilizable=False,
-                    merge_sl=rs - r - s,
-                )
-            )
+        branches += [(f"protected_l:{j}:+", rs + r - s, rs - r - s) for j in range(2, n + 1)]
         if s != r * n:
             delta = r * (n + 1) - s
-            branches.append(
-                TransverseBranch(
-                    origin="protected_k:+",
-                    sl_top=rs + r - s - 2 * delta,
-                    destabilizable=False,
-                    merge_sl=rs - r - s,
-                )
-            )
-    elif region.kind == INFLUENCE_UPPER:
-        iv = influence_interval(knot, region.index)
-        sl_top = rs + r - s * w
-        branches.append(
-            TransverseBranch(
-                origin="protected_k:+",
-                sl_top=sl_top,
-                destabilizable=False,
-                merge_sl=sl_top - 2 * intersect(cable.slope, iv.upper),
-            )
-        )
-    elif region.kind == INFLUENCE_LOWER:
-        iv = influence_interval(knot, region.index)
+            branches.append(("protected_k:+", rs + r - s - 2 * delta, rs - r - s))
+    elif region.kind in (INFLUENCE_UPPER, INFLUENCE_LOWER):
         n = region.index
-        pair_center = intersect(cable.slope, iv.center)
-        pair_upper = intersect(cable.slope, iv.upper)
-        sl_top = (rs - pair_center) - r * (n - 1)
-        branches.append(
-            TransverseBranch(
-                origin="protected_k:+",
-                sl_top=sl_top,
-                destabilizable=False,
-                merge_sl=sl_top - 2 * (pair_upper - pair_center),
-            )
-        )
+        iv = influence_interval(knot, n)
+        depth = intersect(cable.slope, iv.upper)  # stabilizations until the merge
+        if region.kind == INFLUENCE_UPPER:
+            sl_top = rs + r - s * w
+        else:
+            pair_center = intersect(cable.slope, iv.center)
+            sl_top = (rs - pair_center) - r * (n - 1)
+            depth -= pair_center
+        branches.append(("protected_k:+", sl_top, sl_top - 2 * depth))
     return TransverseClassification(
         cable=cable,
         max_sl=top,
-        branches=tuple(branches),
+        branches=tuple(
+            TransverseBranch(origin, sl_top, destabilizable=False, merge_sl=merge_sl)
+            for origin, sl_top, merge_sl in branches
+        ),
     )
 
 

@@ -18,9 +18,8 @@ from torus_cables.farey import is_edge, mediant, neighbors, neighbors_oracle
 from torus_cables.legendrian import (
     CableSpec,
     bennequin_bound,
+    classes_at,
     classify,
-    count_classes,
-    count_three_points,
     mountain_range,
 )
 from torus_cables.torus_knots import (
@@ -113,7 +112,7 @@ def test_criterion_4_figure_counts():
         (0, 1): 1,
     }
     for (rot, tb), want in expected.items():
-        got = count_classes(cls, rot, tb)
+        got = len(classes_at(cls, rot, tb))
         assert got == want, f"({rot},{tb}): got {got}, want {want}"
     report(4, "the lattice counts n, n+1, 2n-1, 2n, 2n+1, 1 all appear at the derived points")
 
@@ -195,7 +194,7 @@ def test_criterion_7a_count_bound_at_most_three():
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
     report(
         "7a",
-        f"count_classes <= 3 on every lattice point down to tb_max - 40 ({elapsed:.2f}s)",
+        f"at most 3 classes on every lattice point down to tb_max - 40 ({elapsed:.2f}s)",
     )
 
 
@@ -228,7 +227,8 @@ def test_criterion_7b_count_three_at_one_symmetric_pair():
                     cls = classify(cable)
                     (plus,) = [g for g in cls.branches if g.sign == 1]
                     tb_floor = plus.tb - plus.rot - 2 * (m - 1)
-                    pts = set(count_three_points(cls, tb_floor))
+                    counts = mountain_range(cls, tb_floor).counts
+                    pts = {pt for pt, c in counts.items() if c == 3}
                     assert len(pts) == m * m, (spec, k, m, n, sorted(pts))
                     assert pts == _predicted_diamond(cable, tb_floor), (spec, k, m, n)
                     qual4 += 1

@@ -45,8 +45,6 @@ def test_rejects_bad_state():
     with pytest.raises(ValueError):
         TorusState(dividing=S("1/2"), ruling=S("1/2"))
     with pytest.raises(ValueError):
-        attach_bypass(TorusState(S("1/2"), S("0/1"), curve_pairs=2), FRONT)
-    with pytest.raises(ValueError):
         attach_bypass(st_("1/2", "0/1"), "sideways")
 
 

@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,11 @@ from pathlib import Path
 import pytest
 
 from torus_cables import transverse
-from torus_cables.cli import run
+from torus_cables.cli import render_mountain, run
+from torus_cables.legendrian import CableSpec, classify, mountain_range
+from torus_cables.torus_knots import TorusKnotSpec
+
+from conftest import reduced_pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text(encoding="utf-8"))
@@ -145,6 +150,49 @@ def test_mountain_golden():
     assert cols[zero_col + 1] == "5"  # +1 for the tb gutter label
 
 
+def _render_by_cell(mr):
+    # The per-cell renderer render_mountain replaced: the reference for its bytes.
+    rots = sorted({rot for rot, _ in mr.counts})
+    lo, hi = rots[0], rots[-1]
+    span = list(range(lo, hi + 1))
+    colw = max(len(str(r)) for r in span) + 1
+    gutter = max(len(str(tb)) for tb in range(mr.tb_floor, mr.tb_max + 1))
+    lines = [" " * gutter + "".join(str(r).rjust(colw) for r in span)]
+    for tb in range(mr.tb_max, mr.tb_floor - 1, -1):
+        cells = []
+        for rot in span:
+            c = mr.count(rot, tb)
+            if c == 0:
+                cells.append(".".rjust(colw))
+            elif c < 10:
+                cells.append(str(c).rjust(colw))
+            elif c < 36:
+                cells.append(chr(ord("a") + c - 10).rjust(colw))
+            else:
+                cells.append("*".rjust(colw))
+        lines.append(str(tb).rjust(gutter) + "".join(cells))
+    return "\n".join(lines)
+
+
+def test_render_mountain_matches_per_cell_reference():
+    cases = [
+        (CableSpec(spec, r, s), 20)
+        for spec in (TorusKnotSpec(2, 5), TorusKnotSpec(3, 4))
+        for r, s in reduced_pairs(6)
+        if not (s == 1 and r < spec.width)
+    ]
+    trefoil = TorusKnotSpec(2, 3)
+    cases += [(CableSpec(trefoil, 2, 25), 20), (CableSpec(trefoil, 2, 81), 30)]
+    tops = []
+    for cable, depth in cases:
+        cls = classify(cable)
+        mr = mountain_range(cls, cls.tb_max - depth)
+        assert render_mountain(mr) == _render_by_cell(mr), cable
+        tops.append(max(mr.counts.values()))
+    # T(2,3)_(2,25) reaches the letters (counts 10 to 35), T(2,3)_(2,81) "*" (36 up).
+    assert 10 <= tops[-2] < 36 <= tops[-1]
+
+
 def test_transverse_text():
     code, out, _ = invoke("transverse", "--pq", "2,3", "--rs", "2,3")
     assert code == 0
@@ -181,6 +229,8 @@ def test_exit_codes():
 
 
 def test_console_module_entry_point(monkeypatch):
+    # The child imports this checkout's package, whether or not one is installed.
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"), prepend=os.pathsep)
     proc = subprocess.run(
         [sys.executable, "-m", "torus_cables.cli", "farey", "neighbors", "5/3"],
         capture_output=True,
@@ -201,6 +251,7 @@ def test_console_module_entry_point(monkeypatch):
 
 def test_help_reaches_out(monkeypatch):
     # argparse prints --help to sys.stdout itself; run() sends it to out.
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"), prepend=os.pathsep)
     monkeypatch.setenv("COLUMNS", "80")
     for argv in (["farey", "--help"], ["--help"]):
         code, out, err = invoke(*argv)

@@ -11,7 +11,6 @@ from torus_cables.legendrian import (
     cable_rot,
     classes_at,
     classify,
-    count_classes,
     destabilizes,
     divide_tb,
     max_tb,
@@ -219,17 +218,18 @@ def test_count_classes_examples():
     expected = {(3, 10): 2, (-3, 10): 2, (4, 9): 3, (-4, 9): 3, (0, 7): 3,
                 (1, 6): 4, (-1, 6): 4, (0, 5): 5, (0, 1): 1}
     for (rot, tb), want in expected.items():
-        assert count_classes(cls, rot, tb) == want, (rot, tb)
-    assert count_classes(cls, 0, 6) == 0  # even parity
+        assert len(classes_at(cls, rot, tb)) == want, (rot, tb)
+    assert classes_at(cls, 0, 6) == []  # even parity
     cls23 = classify(CableSpec(T23, 2, 3))
-    assert count_classes(cls23, 0, 1) == 1
+    assert len(classes_at(cls23, 0, 1)) == 1
 
 
 def test_classes_at_matches_count():
     cls = classify(CableSpec(T25, 5, 3))
+    mr = mountain_range(cls, cls.tb_max - 12)
     for tb in range(cls.tb_max - 12, cls.tb_max + 1):
         for rot in range(-14, 15):
-            assert len(classes_at(cls, rot, tb)) == count_classes(cls, rot, tb)
+            assert len(classes_at(cls, rot, tb)) == mr.count(rot, tb)
 
 
 def test_mountain_range_examples():
@@ -294,7 +294,7 @@ def _solved_counts(cls, tb_floor):
         lo = min(g.rot - (g.tb - tb) for g in cls.generators) - 1
         hi = max(g.rot + (g.tb - tb) for g in cls.generators) + 1
         for rot in range(lo, hi + 1):
-            c = count_classes(cls, rot, tb)
+            c = len(classes_at(cls, rot, tb))
             if c:
                 counts[(rot, tb)] = c
     return counts

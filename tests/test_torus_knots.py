@@ -308,13 +308,13 @@ def test_census_matches_reciprocal_scan_over_both_signs():
 
 
 def test_thickening_outcome_examples():
-    out = thickening_outcome(T25, S("3/4"), 1, inside_index=2, inside_sign=1)
+    out = thickening_outcome(T25, S("3/4"), 1, inside_index=2)
     assert out.kind == "thickens_partial" and out.limit == S("2/3")
-    out = thickening_outcome(T25, S("-1/2"), 1, inside_index=2, inside_sign=1)
+    out = thickening_outcome(T25, S("-1/2"), 1, inside_index=2)
     assert out.kind == "thickens_to_max"
-    out = thickening_outcome(T25, S("1/1"), 1, inside_index=3, inside_sign=1)
+    out = thickening_outcome(T25, S("1/1"), 1, inside_index=3)
     assert out.kind == "thickens_to_max"
-    out = thickening_outcome(T25, S("2/3"), 1, inside_index=2, inside_sign=-1)
+    out = thickening_outcome(T25, S("2/3"), 1, inside_index=2)
     assert out.kind == "non_thickenable"
     out = thickening_outcome(T25, S("1/1"), 3, inside_index=3)
     assert out.kind == "non_thickenable"
