@@ -17,11 +17,10 @@ and the second family rises back to ``s``.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .farey import INFINITY, Slope, circular_key, extreme_neighbors, normalize
+from .farey import Slope, ccw_strictly_between, circular_key, edge_slopes, extreme_neighbors
 
 FRONT = "front"
 BACK = "back"
@@ -41,7 +40,7 @@ class TorusState:
             raise ValueError("ruling slope must differ from the dividing slope")
 
 
-def _check(state: TorusState, side: str) -> None:
+def _check(side: str) -> None:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
@@ -71,7 +70,7 @@ def _first_neighbor_ccw_after(s: Slope, r: Slope) -> Slope:
 
 def attach_bypass(state: TorusState, side: str) -> Slope:
     """New dividing slope after attaching one bypass along a ruling curve."""
-    _check(state, side)
+    _check(side)
     s, r = state.dividing, state.ruling
     if side == FRONT:
         return _first_neighbor_ccw_after(s, r)
@@ -82,25 +81,15 @@ def attach_bypass(state: TorusState, side: str) -> Slope:
 
 @lru_cache(maxsize=4096)
 def _edge_candidates(s: Slope, den_bound: int, ruling_window: int) -> tuple:
-    # Every slope of denominator <= den_bound with an edge to s, sorted by
-    # circular position.  For an infinite dividing slope the edge condition
-    # forces integer candidates, windowed around the ruling slope.
-    out = []
+    # The edge_slopes of s, sorted by circular position.  For an infinite
+    # dividing slope the edge condition forces integer candidates, windowed
+    # around the ruling slope.
     if s.is_infinite:
-        for a in range(-ruling_window, ruling_window + 1):
-            t = normalize(a, 1)
-            out.append((circular_key(t), t))
+        found = [Slope(a, 1) for a in range(-ruling_window, ruling_window + 1)]
     else:
-        if s.den == 1:
-            out.append((circular_key(INFINITY), INFINITY))
-        for b in range(1, den_bound + 1):
-            for e in (1, -1):
-                top = s.num * b - e
-                if top % s.den == 0:
-                    t = normalize(top // s.den, b)
-                    out.append((circular_key(t), t))
-    out.sort(key=lambda kt: kt[0])
-    return tuple(k for k, _ in out), tuple(t for _, t in out)
+        found = edge_slopes(s, den_bound)
+    found.sort(key=circular_key)
+    return tuple(map(circular_key, found)), tuple(found)
 
 
 def attach_bypass_oracle(state: TorusState, side: str, den_bound: int) -> Slope:
@@ -111,24 +100,19 @@ def attach_bypass_oracle(state: TorusState, side: str, den_bound: int) -> Slope:
     arc away from the ruling slope; the first candidate strictly inside the
     arc is by definition the arc-closest one.
     """
-    _check(state, side)
+    _check(side)
     if den_bound < 1:
         raise ValueError("den_bound must be positive")
     s, r = state.dividing, state.ruling
-    window = den_bound + (abs(math.floor(r.value)) + 2 if s.is_infinite else 0)
+    window = den_bound + (abs(r.num // r.den) + 2 if s.is_infinite else 0)
     keys, slopes = _edge_candidates(s, den_bound, window)
-    kr, ks = circular_key(r), circular_key(s)
-    n = len(keys)
+    kr = circular_key(r)
     if side == FRONT:
         # first candidate counterclockwise after the ruling slope
-        j = bisect.bisect_right(keys, kr) % n
-        kt = keys[j]
-        inside = (kr < kt < ks) if kr < ks else (kt > kr or kt < ks)
+        j, arc = bisect.bisect_right(keys, kr), (r, s)
     else:
         # first candidate clockwise after (counterclockwise before) the ruling
-        j = (bisect.bisect_left(keys, kr) - 1) % n
-        kt = keys[j]
-        inside = (ks < kt < kr) if ks < kr else (kt > ks or kt < kr)
-    if not inside or kt == kr:
-        raise ValueError("no candidate on the arc; raise den_bound")
-    return slopes[j]
+        j, arc = bisect.bisect_left(keys, kr) - 1, (s, r)
+    if slopes and ccw_strictly_between(slopes[j % len(slopes)], *arc):
+        return slopes[j % len(slopes)]
+    raise ValueError("no candidate on the arc; raise den_bound")

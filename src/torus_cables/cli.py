@@ -52,6 +52,7 @@ from .torus_knots import (
     width,
 )
 from .transverse import (
+    SUITES,
     TOP_CHAIN,
     TransverseClassification,
     count_transverse,
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
             pc.add_argument("--sl-floor", type=int, default=None)
 
     p_ver = sub.add_parser("verify", help="check a qualitative statement end to end")
-    p_ver.add_argument("--suite", choices=["qual1", "qual2", "qual4"], required=True)
+    p_ver.add_argument("--suite", choices=SUITES, required=True)
     p_ver.add_argument("--pq", type=_pair, default=(2, 3))
     p_ver.add_argument("--k", type=int, required=True)
     p_ver.add_argument("--m", type=int, required=True)

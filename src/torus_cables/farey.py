@@ -73,7 +73,6 @@ class Slope:
 
 
 INFINITY = Slope(1, 0)
-ZERO = Slope(0, 1)
 
 
 def normalize(num: int, den: int) -> Slope:
@@ -169,35 +168,33 @@ def neighbors(u: Slope) -> tuple:
     return extreme_neighbors(u)
 
 
-def neighbors_oracle(u: Slope, den_bound: int) -> tuple:
-    """Brute-force version of :func:`neighbors`.
+def edge_slopes(s: Slope, den_bound: int) -> list:
+    """Every slope of denominator <= den_bound with an edge to a finite s.
 
-    Scans every denominator up to ``den_bound`` (plus the infinite slope),
-    solves the edge condition for the numerator, and keeps the extreme
-    neighbor on each side of ``u``: the largest above and the smallest below.
-    Independent of the closed form.
+    Scans the denominators and solves the edge condition for the numerator;
+    ``1/0`` is included when ``s`` is an integer.
+    """
+    out = [INFINITY] if s.den == 1 else []
+    for b in range(1, den_bound + 1):
+        for e in (1, -1):
+            top = s.num * b - e
+            if top % s.den == 0:
+                out.append(Slope(top // s.den, b))
+    return out
+
+
+def neighbors_oracle(u: Slope, den_bound: int) -> tuple:
+    """Brute-force version of :func:`neighbors`, independent of the closed form.
+
+    Every :func:`edge_slopes` of a positive ``u`` lies between 0/1 and 1/0,
+    so the largest is the extreme one above ``u`` and the smallest below.
     """
     if not u.is_positive():
         raise ValueError(f"neighbors are defined for positive slopes, got {u}")
     if den_bound < u.den:
         raise ValueError("den_bound must be at least the denominator of u")
-    best_above = None
-    best_below = None
-    for b in range(1, den_bound + 1):
-        for e in (1, -1):
-            top = u.num * b - e
-            if top % u.den:
-                continue
-            t = normalize(top // u.den, b)
-            if e == 1:  # t < u
-                if best_below is None or t.value < best_below.value:
-                    best_below = t
-            else:  # t > u
-                if best_above is None or t.value > best_above.value:
-                    best_above = t
-    if u.den == 1:
-        best_above = INFINITY  # tops every finite neighbor
-    return best_above, best_below
+    found = edge_slopes(u, den_bound)
+    return max(found, key=circular_key), min(found, key=circular_key)
 
 
 def mediant(a: Slope, b: Slope) -> Slope:

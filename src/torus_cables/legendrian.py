@@ -247,7 +247,7 @@ def classify(cable: CableSpec) -> Classification:
     rs = r * s
     tb_max = bennequin_bound(cable) if region.kind == LOW_RANGE else rs
     params = {}
-    k_pair = None  # (tb, |rot|, bound, destabilizable) of the protected_k heads
+    k_pair = None  # (tb, |rot|, bound) of the protected_k heads
 
     if region.kind == LOW_RANGE:
         gens = [Generator(PEAK, tb=tb_max, rot=0)]
@@ -265,7 +265,7 @@ def classify(cable: CableSpec) -> Classification:
         if s != r * n:
             delta = r * (n + 1) - s
             params["c_prime"] = r - delta - 1
-            k_pair = (rs - delta, r * n, params["c_prime"], False)
+            k_pair = (rs - delta, r * n, params["c_prime"])
     elif region.kind in (SIMPLE_MID, INFLUENCE_UPPER, INFLUENCE_LOWER):
         params["k"] = k
         if region.kind != SIMPLE_MID:
@@ -274,15 +274,15 @@ def classify(cable: CableSpec) -> Classification:
             pair_upper = intersect(slope, iv.upper)
             if region.kind == INFLUENCE_UPPER:
                 params["c"] = pair_upper - 1
-                k_pair = (rs, s * w - r, params["c"], True)
+                k_pair = (rs, s * w - r, params["c"])
             else:  # INFLUENCE_LOWER
                 pair_center = intersect(slope, iv.center)
                 params["c"] = pair_upper - pair_center - 1
-                k_pair = (rs - pair_center, r * (n - 1), params["c"], False)
+                k_pair = (rs - pair_center, r * (n - 1), params["c"])
             params.update(n=n, e_n=iv.center, e_n_a=iv.upper, e_n_c=iv.lower)
 
     if k_pair is not None:
-        tb, rot, bound, destabilizable = k_pair
+        tb, rot, bound = k_pair
         gens += [
             Generator(
                 BRANCH_K,
@@ -290,7 +290,7 @@ def classify(cable: CableSpec) -> Classification:
                 rot=sign * rot,
                 sign=sign,
                 bound=bound,
-                destabilizable=destabilizable,
+                destabilizable=tb == tb_max,
             )
             for sign in (1, -1)
         ]

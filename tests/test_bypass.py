@@ -48,6 +48,12 @@ def test_rejects_bad_state():
         attach_bypass(st_("1/2", "0/1"), "sideways")
 
 
+def test_oracle_without_candidates_raises():
+    # 2/9 has no edge to a slope of denominator 1.
+    with pytest.raises(ValueError, match=r"^no candidate on the arc; raise den_bound$"):
+        attach_bypass_oracle(st_("2/9", "0/1"), FRONT, 1)
+
+
 def test_result_is_edge_on_the_arc():
     for dividing in grid_slopes(6):
         for ruling in grid_slopes(6):

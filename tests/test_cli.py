@@ -220,6 +220,9 @@ def test_exit_codes():
     assert code == 1
     code, _, _ = invoke("mountain", "--pq", "2,3", "--rs", "2,3", "--tb-floor", "9")
     assert code == 1
+    # The oracle's scan finds no candidate: 2/9 has no edge to an integer.
+    code, out, err = invoke("bypass", "front", "2/9", "0/1", "--den-bound", "1")
+    assert (code, out, err) == (1, "", "error: no candidate on the arc; raise den_bound\n")
     code, _, _ = invoke("nonsense")
     assert code == 2
     code, _, err = invoke("farey", "mediant", "2/3")

@@ -17,6 +17,7 @@ from torus_cables.farey import (
     cf_eval,
     cf_expand,
     circular_key,
+    edge_slopes,
     extreme_neighbors,
     farey_combine,
     intersect,
@@ -113,6 +114,7 @@ def test_extreme_neighbors_of_every_finite_slope():
                 top = s.num * b - e
                 if top % s.den == 0:
                     found.append(normalize(top // s.den, b))
+        assert edge_slopes(s, 60) == found, s
         for t in found:
             if t != upper:
                 assert lower.value <= t.value and (upper.is_infinite or t.value < upper.value)

@@ -271,6 +271,25 @@ def test_destabilizes():
     assert not destabilizes(cls, Common(1, 6))  # a peak
 
 
+def test_destabilizable_flag_marks_the_generators_below_tb_max():
+    # On criterion 10's knots: a generator is flagged non-destabilizable
+    # exactly when it sits below maximal tb, and the class model finds no
+    # class one level up that stabilizes onto such a head.
+    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
+    lowered = 0
+    for spec in knots:
+        for r, s in reduced_pairs(20):
+            if s == 1 and r < spec.width:
+                continue
+            cls = classify(CableSpec(spec, r, s))
+            for g in cls.generators:
+                assert g.destabilizable == (g.tb == cls.tb_max), (spec, r, s, g)
+                if g.protected and g.tb < cls.tb_max:
+                    assert not destabilizes(cls, Branch(g, 0, 0)), (spec, r, s, g)
+                    lowered += 1
+    assert lowered == 756
+
+
 def test_divide_and_ruling_tb():
     assert divide_tb(2, 3) == 6
     assert ruling_tb(3, 2, S("1/1"), 1) == 5
