@@ -10,20 +10,23 @@ strings; no floating point anywhere.
 ``farey`` op, the ``tori`` action, or None -- to a handler and to the
 arguments that entry needs beyond what argparse enforces.  A handler takes
 the parsed arguments and returns ``(payload, text)``, plus an exit code for
-``verify``; it neither writes output nor reads ``--json``.  ``run`` is the
-one emitter: it reports a missing argument (exit 2), turns a ValueError
-into ``error: ...`` on stderr (exit 1), and prints the payload as JSON or
-the text.
+``verify``; it neither writes output nor reads ``--json``.  The payload is a
+dict, or, where it grows with the answer (``classify``, ``mountain``,
+``transverse``), a callable that builds one.  ``run`` is the one emitter: it
+reports a missing argument (exit 2), turns a ValueError into ``error: ...``
+on stderr (exit 1), and prints the payload as JSON or the text.
+
+Only ``farey`` is imported with this module (argparse's ``_slope`` needs
+``Slope``); each handler imports the other layers it uses, so a command
+loads only its own layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
-from . import bypass as bypass_mod
 from .farey import (
     Slope,
     cf_expand,
@@ -34,31 +37,11 @@ from .farey import (
     neighbors,
     neighbors_oracle,
 )
-from .legendrian import (
-    CableSpec,
-    Classification,
-    MountainRange,
-    classify,
-    mountain_range,
-)
-from .torus_knots import (
-    INFLUENCE_LOWER,
-    TorusKnotSpec,
-    exceptional_indices,
-    influence_interval,
-    locate,
-    nonthickenable_profile,
-    tori_census,
-    width,
-)
-from .transverse import (
-    SUITES,
-    TOP_CHAIN,
-    TransverseClassification,
-    count_transverse,
-    quotient_transverse,
-    verify_qualitative,
-)
+
+# Literal copies of bypass.SIDES and transverse.SUITES, so that building the
+# parser loads neither layer; tests/test_cli.py pins them to the originals.
+SIDES = ("front", "back")
+SUITES = ("qual1", "qual2", "qual4")
 
 
 def _slope(text: str) -> Slope:
@@ -79,6 +62,8 @@ def _pair(text: str) -> tuple:
 
 
 def _dump(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -86,11 +71,11 @@ def _slope_str(s) -> object:
     return None if s is None else str(s)
 
 
-def _cable_payload(cable: CableSpec) -> dict:
+def _cable_payload(cable) -> dict:
     return {"p": cable.knot.p, "q": cable.knot.q, "r": cable.r, "s": cable.s}
 
 
-def classification_payload(cls: Classification) -> dict:
+def classification_payload(cls) -> dict:
     p = cls.parameters
     return {
         "cable": _cable_payload(cls.cable),
@@ -121,7 +106,7 @@ def classification_payload(cls: Classification) -> dict:
     }
 
 
-def transverse_payload(cls: Classification, tcls: TransverseClassification) -> dict:
+def transverse_payload(cls, tcls) -> dict:
     payload = classification_payload(cls)
     payload["max_sl"] = tcls.max_sl
     payload["branches"] = [
@@ -136,10 +121,22 @@ def transverse_payload(cls: Classification, tcls: TransverseClassification) -> d
     return payload
 
 
+def _mountain_payload(cable, mr) -> dict:
+    return {
+        "cable": _cable_payload(cable),
+        "tb_floor": mr.tb_floor,
+        "tb_max": mr.tb_max,
+        "counts": [
+            {"rot": rot, "tb": tb, "count": mr.counts[(rot, tb)]}
+            for rot, tb in sorted(mr.counts, key=lambda pt: (-pt[1], pt[0]))
+        ],
+    }
+
+
 _GLYPHS = ".123456789abcdefghijklmnopqrstuvwxyz*"  # indexed by min(count, 36)
 
 
-def render_mountain(mr: MountainRange) -> str:
+def render_mountain(mr) -> str:
     """ASCII grid: tb rows descending, one column per rot in the populated
     span, digits (letters from ten up, ``*`` from 36) at populated cells and
     dots elsewhere."""
@@ -162,7 +159,7 @@ def render_mountain(mr: MountainRange) -> str:
     return "\n".join(lines)
 
 
-def _knot(spec: TorusKnotSpec) -> dict:
+def _knot(spec) -> dict:
     return {"p": spec.p, "q": spec.q}
 
 
@@ -202,11 +199,13 @@ def _farey_intersect(args):
 
 
 def _bypass(args):
-    state = bypass_mod.TorusState(dividing=args.dividing, ruling=args.ruling)
+    from .bypass import TorusState, attach_bypass, attach_bypass_oracle
+
+    state = TorusState(dividing=args.dividing, ruling=args.ruling)
     if args.den_bound is not None:
-        result = bypass_mod.attach_bypass_oracle(state, args.side, args.den_bound)
+        result = attach_bypass_oracle(state, args.side, args.den_bound)
     else:
-        result = bypass_mod.attach_bypass(state, args.side)
+        result = attach_bypass(state, args.side)
     payload = {
         "dividing": str(args.dividing),
         "ruling": str(args.ruling),
@@ -217,6 +216,8 @@ def _bypass(args):
 
 
 def _tori_census(args):
+    from .torus_knots import TorusKnotSpec, tori_census
+
     spec = TorusKnotSpec(*args.pq)
     rec = tori_census(spec, args.slope)
     payload = {
@@ -231,6 +232,8 @@ def _tori_census(args):
 
 
 def _tori_profile(args):
+    from .torus_knots import TorusKnotSpec, nonthickenable_profile
+
     spec = TorusKnotSpec(*args.pq)
     prof = nonthickenable_profile(spec, args.k)
     payload = {
@@ -245,6 +248,8 @@ def _tori_profile(args):
 
 
 def _tori_locate(args):
+    from .torus_knots import TorusKnotSpec, locate
+
     spec = TorusKnotSpec(*args.pq)
     region = locate(spec, args.slope)
     payload = {
@@ -257,6 +262,8 @@ def _tori_locate(args):
 
 
 def _tori_interval(args):
+    from .torus_knots import TorusKnotSpec, influence_interval
+
     spec = TorusKnotSpec(*args.pq)
     iv = influence_interval(spec, args.n)
     payload = {
@@ -270,23 +277,32 @@ def _tori_interval(args):
 
 
 def _tori_width(args):
+    from .torus_knots import TorusKnotSpec, width
+
     spec = TorusKnotSpec(*args.pq)
     w = width(spec)
     return {"knot": _knot(spec), "width": w}, str(w)
 
 
 def _tori_indices(args):
+    from .torus_knots import TorusKnotSpec, exceptional_indices
+
     spec = TorusKnotSpec(*args.pq)
     idx = sorted(exceptional_indices(spec, args.bound))
     payload = {"knot": _knot(spec), "bound": args.bound, "indices": idx}
     return payload, " ".join(str(i) for i in idx)
 
 
-def _cable(args) -> CableSpec:
+def _cable(args):
+    from .legendrian import CableSpec
+    from .torus_knots import TorusKnotSpec
+
     return CableSpec(TorusKnotSpec(*args.pq), *args.rs)
 
 
 def _classify(args):
+    from .legendrian import classify
+
     cls = classify(_cable(args))
     p = cls.parameters
     lines = [
@@ -302,25 +318,22 @@ def _classify(args):
                 "destabilizable" if g.destabilizable else "non-destabilizable"
             )
         lines.append(f"  {g.id}: tb {g.tb}, rot {g.rot}{extra}")
-    return classification_payload(cls), "\n".join(lines)
+    return lambda: classification_payload(cls), "\n".join(lines)
 
 
 def _mountain(args):
+    from .legendrian import classify, mountain_range
+
     cls = classify(_cable(args))
     mr = mountain_range(cls, args.tb_floor)
-    payload = {
-        "cable": _cable_payload(cls.cable),
-        "tb_floor": mr.tb_floor,
-        "tb_max": mr.tb_max,
-        "counts": [
-            {"rot": rot, "tb": tb, "count": mr.counts[(rot, tb)]}
-            for rot, tb in sorted(mr.counts, key=lambda pt: (-pt[1], pt[0]))
-        ],
-    }
-    return payload, render_mountain(mr)
+    return lambda: _mountain_payload(cls.cable, mr), render_mountain(mr)
 
 
 def _transverse(args):
+    from .legendrian import classify
+    from .torus_knots import INFLUENCE_LOWER
+    from .transverse import TOP_CHAIN, count_transverse, quotient_transverse
+
     cable = _cable(args)
     cls = classify(cable)
     tcls = quotient_transverse(cls)
@@ -340,10 +353,13 @@ def _transverse(args):
     if args.sl_floor is not None:
         for sl in range(tcls.max_sl, args.sl_floor - 1, -2):
             lines.append(f"  sl {sl}: {count_transverse(tcls, sl)} classes")
-    return transverse_payload(cls, tcls), "\n".join(lines)
+    return lambda: transverse_payload(cls, tcls), "\n".join(lines)
 
 
 def _verify(args):
+    from .torus_knots import TorusKnotSpec
+    from .transverse import verify_qualitative
+
     spec = TorusKnotSpec(*args.pq)
     report = verify_qualitative(spec, args.suite, args.k, args.m, args.n)
     payload = {
@@ -413,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_farey.add_argument("--json", action="store_true")
 
     p_byp = sub.add_parser("bypass", help="dividing slope after a bypass attachment")
-    p_byp.add_argument("side", choices=list(bypass_mod.SIDES))
+    p_byp.add_argument("side", choices=SIDES)
     p_byp.add_argument("dividing", type=_slope)
     p_byp.add_argument("ruling", type=_slope)
     p_byp.add_argument("--den-bound", type=int, default=None,
@@ -470,7 +486,10 @@ def run(argv=None, out=None, err=None) -> int:
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 1
-    out.write(_dump(payload) if args.json else text + "\n")
+    if args.json:
+        out.write(_dump(payload() if callable(payload) else payload))
+    else:
+        out.write(text + "\n")
     return code[0] if code else 0
 
 

@@ -14,8 +14,16 @@ the negative slopes continuing from -infinity back around to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+
+
+def _fraction(num: int, den: int):
+    # Rebinds itself to fractions.Fraction on the first call, so that only a
+    # caller that asks for a numeric value pays for importing fractions.
+    global _fraction
+    from fractions import Fraction as _fraction
+
+    return _fraction(num, den)
 
 
 @dataclass(frozen=True, order=False)
@@ -40,11 +48,11 @@ class Slope:
         return self.den == 0
 
     @property
-    def value(self) -> Fraction:
-        """Numeric value; raises for the infinite slope."""
+    def value(self):
+        """Numeric value as a Fraction; raises for the infinite slope."""
         if self.den == 0:
             raise ValueError("infinite slope has no numeric value")
-        return Fraction(self.num, self.den)
+        return _fraction(self.num, self.den)
 
     def is_positive(self) -> bool:
         return self.den > 0 and self.num > 0
@@ -194,7 +202,8 @@ def neighbors_oracle(u: Slope, den_bound: int) -> tuple:
     if den_bound < u.den:
         raise ValueError("den_bound must be at least the denominator of u")
     found = edge_slopes(u, den_bound)
-    return max(found, key=circular_key), min(found, key=circular_key)
+    keys = [circular_key(s) for s in found]  # one key per candidate
+    return found[keys.index(max(keys))], found[keys.index(min(keys))]
 
 
 def mediant(a: Slope, b: Slope) -> Slope:
@@ -233,7 +242,7 @@ def is_edge(a: Slope, b: Slope) -> bool:
 def circular_key(s: Slope) -> tuple:
     """Sort key realizing the counterclockwise order 0, positives, inf, negatives."""
     if s.den == 0:
-        return (2, Fraction(0))
+        return (2, 0)  # 1/0 is alone in its class
     v = s.value
     if v == 0:
         return (0, v)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from torus_cables import transverse
+from torus_cables import bypass, cli, transverse
 from torus_cables.cli import render_mountain, run
 from torus_cables.legendrian import CableSpec, classify, mountain_range
 from torus_cables.torus_knots import TorusKnotSpec
@@ -229,6 +229,12 @@ def test_exit_codes():
     assert code == 2
     code, _, _ = invoke("tori", "census", "--pq", "2,3")
     assert code == 2
+
+
+def test_parser_choices_copy_the_layer_constants():
+    # cli keeps literal copies so that building the parser loads neither layer.
+    assert cli.SIDES == bypass.SIDES
+    assert cli.SUITES == transverse.SUITES
 
 
 def test_console_module_entry_point(monkeypatch):

@@ -1,15 +1,71 @@
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import torus_cables
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def test_all_lists_every_public_name():
-    # __all__ and the imports in __init__ are two lists of one export set;
-    # a name deleted from one must be deleted from the other.
+    # __all__ is derived from the lazy export table; every name must resolve
+    # to the object its table module defines, and once all are resolved the
+    # package namespace holds exactly __all__ besides the layer modules.
+    names = torus_cables.__all__
+    assert len(names) == len(set(names))
+    for module, exported in torus_cables._EXPORTS.items():
+        layer = __import__(f"torus_cables.{module}", fromlist=["_"])
+        for name in exported:
+            assert getattr(torus_cables, name) is getattr(layer, name), name
     public = {
         name
         for name, value in vars(torus_cables).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(torus_cables.__all__) == len(set(torus_cables.__all__))
-    assert set(torus_cables.__all__) == public
+    assert public == set(names)
+    assert set(names) <= set(dir(torus_cables))
+    with pytest.raises(AttributeError):
+        torus_cables.no_such_name
+
+
+def _loaded_layers(code: str) -> list:
+    # A fresh interpreter, so that nothing this test process imported counts.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('torus_cables.'))))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _layers_after(*argv) -> set:
+    code = f"import io\nfrom torus_cables import cli\ncli.run({list(argv)!r}, out=io.StringIO(), err=io.StringIO())"
+    return {m.split(".", 1)[1] for m in _loaded_layers(code)}
+
+
+def test_each_command_loads_only_its_layers():
+    assert _layers_after("farey", "neighbors", "355/113") == {"farey", "cli"}
+    assert _layers_after("farey", "neighbors", "355/113", "--json") == {"farey", "cli"}
+    assert _layers_after("bypass", "front", "2/3", "1/0") == {"farey", "bypass", "cli"}
+    assert _layers_after("tori", "width", "--pq", "2,5") == {"farey", "torus_knots", "cli"}
+    for argv in (("classify", "--pq", "2,5", "--rs", "7,5"),
+                 ("mountain", "--pq", "2,5", "--rs", "7,5", "--tb-floor", "20", "--json")):
+        assert _layers_after(*argv) == {"farey", "torus_knots", "legendrian", "cli"}, argv
+    assert "transverse" in _layers_after("transverse", "--pq", "2,5", "--rs", "7,5")
+    # A usage error parses nothing past argparse.
+    assert _layers_after("verify", "--suite", "bogus", "--k", "1", "--m", "1", "--n", "1") == {"farey", "cli"}
+
+
+def test_star_import_binds_every_name():
+    assert _loaded_layers("import torus_cables") == []
+    # A layer module is an attribute of the package, loaded on access.
+    assert _loaded_layers("import torus_cables\ntorus_cables.bypass.SIDES") == [
+        "torus_cables.bypass", "torus_cables.farey"]
+    code = ("ns = {}\nexec('from torus_cables import *', ns)\nimport torus_cables\n"
+            "assert sorted(n for n in ns if n != '__builtins__') == sorted(torus_cables.__all__)\n"
+            "assert len(torus_cables.__all__) == 53")
+    assert len(_loaded_layers(code)) == 5
