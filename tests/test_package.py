@@ -35,7 +35,8 @@ def test_all_lists_every_public_name():
 
 def _loaded_layers(code: str) -> list:
     # A fresh interpreter, so that nothing this test process imported counts.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('torus_cables.'))))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -55,8 +56,10 @@ def test_each_command_loads_only_its_layers():
     for argv in (("classify", "--pq", "2,5", "--rs", "7,5"),
                  ("mountain", "--pq", "2,5", "--rs", "7,5", "--tb-floor", "20", "--json")):
         assert _layers_after(*argv) == {"farey", "torus_knots", "legendrian", "cli"}, argv
-    assert "transverse" in _layers_after("transverse", "--pq", "2,5", "--rs", "7,5")
-    # A usage error parses nothing past argparse.
+    for argv in (("transverse", "--pq", "2,5", "--rs", "7,5"),
+                 ("verify", "--suite", "qual4", "--pq", "2,5", "--k", "2", "--m", "3", "--n", "5")):
+        assert _layers_after(*argv) == {"farey", "torus_knots", "legendrian", "transverse", "cli"}, argv
+    # A usage error stops in argparse, before any handler runs.
     assert _layers_after("verify", "--suite", "bogus", "--k", "1", "--m", "1", "--n", "1") == {"farey", "cli"}
 
 
