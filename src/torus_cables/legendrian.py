@@ -16,11 +16,12 @@ Every Legendrian class is therefore either ``Common(rot, tb)`` or
 ``Branch(generator, x, y)`` with ``tb = tb_g - x - y`` and
 ``rot = rot_g + sign_g*(x - y)``.
 
-``stabilize`` is the one transition rule of the model.  The mountain range
-is the set of lattice points its words reach: ``mountain_range`` floods the
-generator heads level by level and counts the distinct classes per point.
-``classes_at`` is the solved form of the same lattice; it answers point
-queries and is the flood's oracle in the tests.
+``stabilize`` is the one transition rule of the model, and the mountain
+range is the set of lattice points its words reach.  ``classes_at`` is the
+solved form of that lattice at one point; ``mountain_range`` builds each
+row from the same solved form as a union of parity-stepped intervals, so
+its work grows with the rows and the cells, not with the words.  The tests
+keep the flood of ``stabilize`` and ``classes_at`` as its oracles.
 
 Which generators occur depends only on where the cable slope falls relative
 to the intervals of influence of the underlying knot; cables of the trefoil
@@ -29,8 +30,8 @@ additionally carry one protected pair per integer band below the slope.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 from typing import Optional
 
@@ -304,6 +305,16 @@ def classify(cable: CableSpec) -> Classification:
 
 # -- the class model --------------------------------------------------------
 
+def _common_apexes(cls: Classification):
+    """The apexes ``(rot, tb)`` of the common class's downward cones: each
+    peak, and each protected branch's first-collapse point."""
+    for g in cls.generators:
+        if g.protected:
+            yield g.rot + g.sign * (g.bound + 1), g.tb - g.bound - 1
+        else:
+            yield g.rot, g.tb
+
+
 def common_reachable(cls: Classification, rot: int, tb: int) -> bool:
     """Whether the merged simple-family class exists at the lattice point.
 
@@ -312,15 +323,10 @@ def common_reachable(cls: Classification, rot: int, tb: int) -> bool:
     """
     if (rot + tb) % 2 == 0:
         return False
-    for g in cls.generators:
-        if g.kind == PEAK:
-            apex_rot, apex_tb = g.rot, g.tb
-        else:
-            apex_rot = g.rot + g.sign * (g.bound + 1)
-            apex_tb = g.tb - (g.bound + 1)
-        if tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb:
-            return True
-    return False
+    return any(
+        tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb
+        for apex_rot, apex_tb in _common_apexes(cls)
+    )
 
 
 def classes_at(cls: Classification, rot: int, tb: int) -> list:
@@ -387,24 +393,47 @@ class MountainRange:
 def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     """All nonzero class counts with tb between the floor and the maximum.
 
-    The classes are flooded from the generator heads: each level is every
-    stabilization of the level above plus the heads at that tb, and a
-    point's count is the number of distinct classes on it.  ``counts`` is
-    keyed in (tb, rot) ascending order.
+    Each row is built from the solved form.  The common class covers the
+    union of the apex cones ``[rot - d, rot + d]``, merged in the order of
+    their lower ends, which is the order of ``rot - tb`` at every row.  A
+    branch ``g`` at depth ``d = g.tb - tb`` adds one class on every second
+    rot from ``g.rot - sign*d`` to ``g.rot + sign*(2*min(bound, d) - d)``.
+    One sweep over the interval edges writes each run of equal count, and
+    ``counts`` is keyed in (tb, rot) ascending order.
     """
     if tb_floor > cls.tb_max:
         raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {cls.tb_max}")
-    heads = {}
-    for g in cls.generators:
-        heads.setdefault(g.tb, set()).add(Branch(g, 0, 0) if g.protected else Common(g.rot, g.tb))
-    level, rows = set(), []
-    for tb in range(cls.tb_max, tb_floor - 1, -1):
-        level = {stabilize(c, sign) for c in level for sign in (1, -1)} | heads.get(tb, set())
-        rows.append((tb, sorted(c.rot for c in level)))
+    apexes = sorted(_common_apexes(cls), key=lambda a: a[0] - a[1])
+    branches = cls.branches
     counts = {}
-    while rows:  # the floor row first; each row is freed once copied
-        tb, rots = rows.pop()
-        counts.update(((rot, tb), n) for rot, n in Counter(rots).items())
+    for tb in range(tb_floor, cls.tb_max + 1):
+        edges = []
+        lo = hi = None
+        for apex_rot, apex_tb in apexes:
+            d = apex_tb - tb
+            if d < 0:
+                continue
+            if hi is not None and apex_rot - d <= hi + 2:
+                hi = max(hi, apex_rot + d)
+                continue
+            if hi is not None:
+                edges += ((lo, 1), (hi + 2, -1))
+            lo, hi = apex_rot - d, apex_rot + d
+        if hi is not None:
+            edges += ((lo, 1), (hi + 2, -1))
+        for g in branches:
+            d = g.tb - tb
+            if d < 0:
+                continue
+            ends = (g.rot - g.sign * d, g.rot + g.sign * (2 * min(g.bound, d) - d))
+            edges += ((min(ends), 1), (max(ends) + 2, -1))
+        edges.sort()
+        n = 0
+        for rot, step in edges:
+            if n:
+                counts.update(zip(zip(range(start, rot, 2), repeat(tb)), repeat(n)))
+            n += step
+            start = rot
     return MountainRange(tb_floor=tb_floor, tb_max=cls.tb_max, counts=counts)
 
 

@@ -1,7 +1,11 @@
 import re
+from collections import Counter
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torus_cables.legendrian import (
     Branch,
@@ -18,7 +22,13 @@ from torus_cables.legendrian import (
     ruling_tb,
     stabilize,
 )
-from torus_cables.torus_knots import TorusKnotSpec
+from torus_cables.torus_knots import (
+    INFLUENCE_LOWER,
+    INFLUENCE_UPPER,
+    TREFOIL_BAND,
+    TorusKnotSpec,
+    locate,
+)
 from torus_cables.transverse import classify_transverse
 
 from conftest import S, reduced_pairs
@@ -319,16 +329,36 @@ def _solved_counts(cls, tb_floor):
     return counts
 
 
+def _flood_counts(cls, tb_floor):
+    # The stabilization flood of the generator heads: each level is every
+    # stabilization of the level above plus the heads at that tb, and a
+    # point's count is the number of distinct classes on it.  Keyed in
+    # (tb, rot) ascending order.
+    heads = {}
+    for g in cls.generators:
+        heads.setdefault(g.tb, set()).add(Branch(g, 0, 0) if g.protected else Common(g.rot, g.tb))
+    level, rows = set(), []
+    for tb in range(cls.tb_max, tb_floor - 1, -1):
+        level = {stabilize(c, sign) for c in level for sign in (1, -1)} | heads.get(tb, set())
+        rows.append((tb, sorted(c.rot for c in level)))
+    counts = {}
+    for tb, rots in reversed(rows):
+        counts.update(((rot, tb), n) for rot, n in Counter(rots).items())
+    return counts
+
+
 def test_counts_match_stabilization_flood():
-    # mountain_range floods the generator heads with stabilize; every class
-    # with tb within `depth` of the top is the image of some word of that
-    # length applied to a head, so the flood and the solved form must agree
-    # on that band of the lattice.  The depth reaches the triple-point
-    # diamonds of T(2,5)_(7,5) and _(10,7), which sit 8-10 and 11-15 levels
-    # below the top.  Besides the bottom of the band, every floor from the
-    # lowest head up to tb_max is checked, so the floors of T(2,5)_(8,9)
-    # (influence_lower) and T(2,3)_(7,11) (protected_k at rs - delta, with
-    # delta = 3) cut between the top and a lower protected head.
+    # mountain_range builds its rows from the solved form; the flood of
+    # stabilize from the generator heads and classes_at on every cell are
+    # its two oracles.  Every class with tb within `depth` of the top is the
+    # image of some word of that length applied to a head, so all three
+    # must agree on that band of the lattice.  The depth reaches the
+    # triple-point diamonds of T(2,5)_(7,5) and _(10,7), which sit 8-10 and
+    # 11-15 levels below the top.  Besides the bottom of the band, every
+    # floor from the lowest head up to tb_max is checked, so the floors of
+    # T(2,5)_(8,9) (influence_lower) and T(2,3)_(7,11) (protected_k at
+    # rs - delta, with delta = 3) cut between the top and a lower protected
+    # head.
     depth = 15
     cables = [CableSpec(T23, 2, 3), CableSpec(T23, 2, 5), CableSpec(T23, 3, 8),
               CableSpec(T25, 3, 2), CableSpec(T25, 5, 3), CableSpec(T25, 7, 5),
@@ -343,14 +373,53 @@ def test_counts_match_stabilization_flood():
         lowest_head = min(g.tb for g in cls.generators)
         lowered += lowest_head < cls.tb_max - 1
         for floor in {cls.tb_max - depth, *range(lowest_head, cls.tb_max + 1)}:
-            want = {pt: c for pt, c in solved.items() if pt[1] >= floor}
-            assert mountain_range(cls, floor).counts == want, (cable, floor)
+            got = mountain_range(cls, floor).counts
+            assert got == _flood_counts(cls, floor), (cable, floor)
+            assert got == {pt: c for pt, c in solved.items() if pt[1] >= floor}, (cable, floor)
     assert lowered >= 2
 
 
+# Wider than criterion 10's knots: every knot of width up to 30, and the
+# near-diagonal ones (q - p <= 2) up to width 119, whose many peaks put
+# dozens of common cones on one row.
+_WIDE_KNOTS = [
+    TorusKnotSpec(p, q)
+    for p in range(2, 120)
+    for q in range(p + 1, 123)
+    if gcd(p, q) == 1 and p * q - p - q <= 119 and (q - p <= 2 or p * q - p - q <= 30)
+]
+
+
+@lru_cache(maxsize=None)
+def _branched_cables():
+    # The cables of the test's box whose slope falls in an interval of
+    # influence or a trefoil band, the regions that carry protected
+    # branches: about one box cable in ten.
+    branched = (INFLUENCE_UPPER, INFLUENCE_LOWER, TREFOIL_BAND)
+    return [
+        (knot, r, s)
+        for knot in _WIDE_KNOTS
+        for r, s in reduced_pairs(40)
+        if 2 <= s <= 24 and locate(knot, CableSpec(knot, r, s).slope).kind in branched
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(st.sampled_from(_WIDE_KNOTS), st.integers(-40, 40), st.integers(2, 24)),
+                 st.deferred(lambda: st.sampled_from(_branched_cables()))),
+       st.integers(0, 30))
+def test_mountain_range_matches_flood_on_wide_knots(cable, depth):
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1)
+    cls = classify(CableSpec(knot, r, s))
+    mr = mountain_range(cls, cls.tb_max - depth)
+    assert list(mr.counts.items()) == list(_flood_counts(cls, cls.tb_max - depth).items())
+
+
 def test_mountain_counts_keep_tb_then_rot_order():
-    # The flood collects classes in sets, whose order follows string hashes
-    # (Generator.kind); the key order must come from the code instead.
+    # The key order of counts is part of the --json output: rows from the
+    # floor up, each row in ascending rot, whatever order the generators,
+    # the merged cones and the branch intervals come in.
     for cable in (CableSpec(T23, 2, 5), CableSpec(T25, 10, 7), CableSpec(T23, 7, 11)):
         cls = classify(cable)
         assert cls.branches
