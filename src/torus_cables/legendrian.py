@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd
+from math import gcd, inf
 from typing import Optional
 
 from .farey import Slope, intersect, normalize
@@ -365,6 +365,15 @@ def stabilize(klass, sign: int):
             return Common(klass.rot + sign, klass.tb - 1)
         return Branch(klass.gen, klass.x + 1, klass.y)
     return Branch(klass.gen, klass.x, klass.y + 1)
+
+
+def _collapse_counts(klass) -> tuple:
+    """The fewest positive and the fewest negative stabilizations that
+    collapse a class into the common class; ``inf`` where none do."""
+    if isinstance(klass, Common):
+        return 0, 0
+    left = klass.gen.bound - klass.x + 1
+    return (left, inf) if klass.gen.sign == 1 else (inf, left)
 
 
 def destabilizes(cls: Classification, klass) -> bool:

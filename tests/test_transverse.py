@@ -1,9 +1,22 @@
-import pytest
+import time
+from math import gcd
 
-from torus_cables.legendrian import Branch, CableSpec, classes_at, classify, stabilize
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from torus_cables.legendrian import (
+    Branch,
+    CableSpec,
+    classes_at,
+    classify,
+    mountain_range,
+    stabilize,
+)
 from torus_cables.torus_knots import TorusKnotSpec
 from torus_cables.transverse import (
     TOP_CHAIN,
+    _word_claims,
     classify_transverse,
     count_transverse,
     quotient_transverse,
@@ -178,3 +191,87 @@ def test_trefoil_band_counts_match_statement():
     assert len(heads) == 2 and all(not b.destabilizable for b in heads)
     assert all(b.merge_sl == rs - r - s for b in t.side_branches)
     assert count_transverse(t, rs - r - s) == 1
+
+
+# -- the stabilization-word replay, the oracle of qual1's word claims ---------
+
+def _word_variants(classes, plus: int, minus: int):
+    out = []
+    for c in classes:
+        for _ in range(plus):
+            c = stabilize(c, 1)
+        for _ in range(minus):
+            c = stabilize(c, -1)
+        out.append(c)
+    return out
+
+
+def _replayed_claims(classes, k):
+    """qual1's two word claims, replayed through ``stabilize``: distinct under
+    every word S_+^a S_-^b with a + b < k, and merged by S_+^k."""
+    words = (_word_variants(classes, a, j - a) for j in range(0, k) for a in range(0, j + 1))
+    separated = all(len(set(variants)) == len(variants) for variants in words)
+    return separated, len(set(_word_variants(classes, k, 0))) <= 1
+
+
+def _class_lists(classes):
+    """The classes at a point, and their protected branches alone, each when
+    it holds two or more.  Every multi-class point of these tests holds the
+    common class, and its pairs give the least separation depth; only
+    without it do the pairs of branches decide the depth."""
+    branches = [c for c in classes if isinstance(c, Branch)]
+    return [group for group in (classes, branches) if len(group) > 1]
+
+
+def test_word_claims_match_replay_on_grid():
+    # Every lattice point with two or more classes on criterion 7a's grid,
+    # down to tb_max - 40, for every word bound k <= 8.  The replay does not
+    # depend on the order of the classes, so neither may the rule: classes_at
+    # lists plus branches first, and the reversed list is the other order.
+    outcomes = set()
+    points = 0
+    for spec in (T25, T34):
+        for r, s in reduced_pairs(10):
+            if not _covered(spec, r, s):
+                continue
+            cls = classify(CableSpec(spec, r, s))
+            for (rot, tb), count in mountain_range(cls, cls.tb_max - 40).counts.items():
+                if count < 2:
+                    continue
+                for classes in _class_lists(classes_at(cls, rot, tb)):
+                    for k in range(1, 9):
+                        claims = _word_claims(classes, k)
+                        assert claims == _replayed_claims(classes, k), (cls.cable, rot, tb, k)
+                        assert _word_claims(classes[::-1], k) == claims, (cls.cable, rot, tb, k)
+                        outcomes.add(claims)
+                points += 1
+    assert points > 4000
+    assert len(outcomes) == 4  # both claims are seen to hold and to fail
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(2, 12), st.integers(1, 12))
+def test_qual1_word_claims_match_replay(k, m, n, words):
+    # The qual1 family with k, n <= 12: the verifier's two word claims equal
+    # the replay at the advertised point.  The rule equals the replay for any
+    # other word bound, below the merge depth or past it, there and at the
+    # mirror point, whose branches all carry the minus sign.
+    assume(gcd(k, m) == 1)
+    rep = verify_qualitative(T23, "qual1", k, m, n)
+    r, s = rep.cable.r, rep.cable.s
+    cls = classify(rep.cable)
+    rot, tb = s - r + m, r * s - m
+    assert tuple(c.passed for c in rep.claims[3:]) == _replayed_claims(classes_at(cls, rot, tb), k)
+    for point in ((rot, tb), (-rot, tb)):
+        for classes in _class_lists(classes_at(cls, *point)):
+            claims = _word_claims(classes, words)
+            assert claims == _replayed_claims(classes, words), (k, m, n, point)
+            assert _word_claims(classes[::-1], words) == claims, (k, m, n, point)
+
+
+def test_qual1_finishes_at_large_k():
+    # The replay is cubic in k; the rule reads two counts per class.
+    start = time.monotonic()
+    assert verify_qualitative(T23, "qual1", 10**6, 1, 4).passed
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
