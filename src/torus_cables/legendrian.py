@@ -20,8 +20,12 @@ Every Legendrian class is therefore either ``Common(rot, tb)`` or
 range is the set of lattice points its words reach.  ``classes_at`` is the
 solved form of that lattice at one point; ``mountain_range`` builds each
 row from the same solved form as a union of parity-stepped intervals, so
-its work grows with the rows and the cells, not with the words.  The tests
-keep the flood of ``stabilize`` and ``classes_at`` as its oracles.
+its work grows with the rows and the cells, not with the words.
+``destabilizes`` reads from the same solved form whether a class has a
+predecessor one level up.  No function here applies ``stabilize``: the
+tests keep the flood of ``stabilize`` and ``classes_at`` as the oracles of
+the mountain range, and the search of the upper neighbors through
+``stabilize`` as the oracle of ``destabilizes``.
 
 Which generators occur depends only on where the cable slope falls relative
 to the intervals of influence of the underlying knot; cables of the trefoil
@@ -377,14 +381,20 @@ def _collapse_counts(klass) -> tuple:
 
 
 def destabilizes(cls: Classification, klass) -> bool:
-    """Whether some class one level up stabilizes onto this one."""
-    rot = klass.rot
-    tb = klass.tb
-    for sign in (1, -1):
-        for cand in classes_at(cls, rot - sign, tb + 1):
-            if stabilize(cand, sign) == klass:
-                return True
-    return False
+    """Whether some class one level up stabilizes onto this one.
+
+    ``klass`` is a class of ``cls``, as :func:`classes_at` returns it.  A
+    ``Branch(g, x, y)`` destabilizes exactly when ``x + y > 0``: its
+    predecessor ``Branch(g, x - 1, y)`` or ``Branch(g, x, y - 1)`` exists one
+    level up, and nothing stabilizes onto a head.  A ``Common`` destabilizes
+    exactly when the common class lives at ``(rot - 1, tb + 1)`` or
+    ``(rot + 1, tb + 1)``.  A branch collapsing onto it needs no term of its
+    own: every protected head lies in a peak's downward cone, so the common
+    class already lives at the point the collapse starts from.
+    """
+    if isinstance(klass, Branch):
+        return klass.x + klass.y > 0
+    return any(common_reachable(cls, klass.rot + sign, klass.tb + 1) for sign in (1, -1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ cable is transversely simple when the top chain is its only branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import nsmallest
 from math import gcd
 from typing import Optional
 
@@ -204,8 +204,11 @@ def verify_qualitative(
 
     ``qual1``: trefoil cables with n Legendrian classes sharing invariants
     m below maximal tb, one non-destabilizable, separated for fewer than k
-    stabilizations and merged by k; both word claims come from each class's
-    collapse counts (the tests replay the words through ``stabilize``).
+    stabilizations and merged by k.  Destabilization is read from the
+    solved form, a constant per branch class, and both word claims from the
+    two smallest collapse counts, so the n classes cost O(n) on top of the
+    classification's 2n generators (the tests search the upper neighbors
+    and replay the words through ``stabilize``).
     ``qual2``: the transverse analogue with its exact sl bookkeeping.
     ``qual4``: for a general knot, a non-destabilizable transverse class at
     least 2n below maximal sl that merges after exactly m stabilizations
@@ -254,13 +257,19 @@ def _word_claims(classes, k: int) -> tuple:
     Two classes at one lattice point coincide under a word exactly when both
     have collapsed, that is when ``a`` reaches ``P`` or ``b`` reaches ``M``
     for each, ``(P, M)`` being its collapse counts.  The shortest such word
-    over all pairs is the separation depth; with fewer than two classes
-    nothing separates.
+    over all pairs is the separation depth, the least
+    ``min(max(Pa, Pb), max(Ma, Mb), Pa + Mb, Ma + Pb)``; over all pairs
+    that is the second-smallest ``P``, the second-smallest ``M`` or the
+    least ``P_i + M_j`` with ``i != j``, and the two smallest of each count
+    give all three.  With fewer than two classes nothing separates.
     """
     counts = [_collapse_counts(c) for c in classes]
-    separation = min((min(max(pa, pb), max(ma, mb), pa + mb, ma + pb)
-                      for (pa, ma), (pb, mb) in combinations(counts, 2)), default=k)
-    return separation >= k, len(classes) <= 1 or all(p <= k for p, _ in counts)
+    if len(counts) < 2:
+        return True, True
+    ps = nsmallest(2, ((p, i) for i, (p, _) in enumerate(counts)))
+    ms = nsmallest(2, ((m, i) for i, (_, m) in enumerate(counts)))
+    cross = min(p + m for p, i in ps for m, j in ms if i != j)
+    return min(ps[1][0], ms[1][0], cross) >= k, all(p <= k for p, _ in counts)
 
 
 def _check_qual1(cable: CableSpec, k: int, m: int, n: int) -> list:

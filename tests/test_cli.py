@@ -219,6 +219,12 @@ def test_verify_qual1_at_large_k_exits_zero():
     assert out.count("PASS") == 5 and "FAIL" not in out
 
 
+def test_verify_qual1_at_large_n_exits_zero():
+    code, out, _ = invoke("verify", "--suite", "qual1", "--k", "1", "--m", "1", "--n", "20000")
+    assert code == 0
+    assert out.count("PASS") == 5 and "FAIL" not in out
+
+
 def test_exit_codes():
     code, _, err = invoke("classify", "--pq", "2,4", "--rs", "2,3")
     assert code == 1 and err.startswith("error:")

@@ -300,6 +300,54 @@ def test_destabilizable_flag_marks_the_generators_below_tb_max():
     assert lowered == 756
 
 
+def _searched_destabilizes(cls, klass):
+    # The search through the upper neighbors, the oracle of destabilizes.
+    rot = klass.rot
+    tb = klass.tb
+    for sign in (1, -1):
+        for cand in classes_at(cls, rot - sign, tb + 1):
+            if stabilize(cand, sign) == klass:
+                return True
+    return False
+
+
+def _heads_in_peak_cones(cls):
+    # The invariant the Common rule of destabilizes rests on: every protected
+    # head lies in the downward cone of some peak.
+    return all(any(g.tb <= p.tb and abs(g.rot - p.rot) <= p.tb - g.tb for p in cls.peaks)
+               for g in cls.branches)
+
+
+def _destabilizes_matches_search(cls, tb_floor):
+    # Compare the rule with the search on every class from tb_max down to the
+    # floor; returns how many classes there were and how many destabilize.
+    classes = destabilizing = 0
+    for rot, tb in mountain_range(cls, tb_floor).counts:
+        for klass in classes_at(cls, rot, tb):
+            got = destabilizes(cls, klass)
+            assert got == _searched_destabilizes(cls, klass), (cls.cable, klass)
+            classes += 1
+            destabilizing += got
+    return classes, destabilizing
+
+
+def test_destabilizes_matches_search_on_grid():
+    # Criterion 7a's grid, every class from tb_max down to tb_max - 8.
+    classes = destabilizing = heads = 0
+    for spec in (T25, T34):
+        for r, s in reduced_pairs(10):
+            if s == 1 and r < spec.width:
+                continue
+            cls = classify(CableSpec(spec, r, s))
+            assert _heads_in_peak_cones(cls), cls.cable
+            heads += len(cls.branches)
+            seen, down = _destabilizes_matches_search(cls, cls.tb_max - 8)
+            classes += seen
+            destabilizing += down
+    assert classes == 47543
+    assert heads > 0 and 0 < destabilizing < classes
+
+
 def test_divide_and_ruling_tb():
     assert divide_tb(2, 3) == 6
     assert ruling_tb(3, 2, S("1/1"), 1) == 5
@@ -404,16 +452,29 @@ def _branched_cables():
     ]
 
 
+_WIDE_CABLES = st.one_of(
+    st.tuples(st.sampled_from(_WIDE_KNOTS), st.integers(-40, 40), st.integers(2, 24)),
+    st.deferred(lambda: st.sampled_from(_branched_cables())))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.one_of(st.tuples(st.sampled_from(_WIDE_KNOTS), st.integers(-40, 40), st.integers(2, 24)),
-                 st.deferred(lambda: st.sampled_from(_branched_cables()))),
-       st.integers(0, 30))
+@given(_WIDE_CABLES, st.integers(0, 30))
 def test_mountain_range_matches_flood_on_wide_knots(cable, depth):
     knot, r, s = cable
     assume(r != 0 and gcd(abs(r), s) == 1)
     cls = classify(CableSpec(knot, r, s))
     mr = mountain_range(cls, cls.tb_max - depth)
     assert list(mr.counts.items()) == list(_flood_counts(cls, cls.tb_max - depth).items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_WIDE_CABLES, st.integers(0, 30))
+def test_destabilizes_matches_search_on_wide_knots(cable, depth):
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1)
+    cls = classify(CableSpec(knot, r, s))
+    assert _heads_in_peak_cones(cls), cls.cable
+    _destabilizes_matches_search(cls, cls.tb_max - depth)
 
 
 def test_mountain_counts_keep_tb_then_rot_order():

@@ -275,3 +275,12 @@ def test_qual1_finishes_at_large_k():
     assert verify_qualitative(T23, "qual1", 10**6, 1, 4).passed
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
+def test_qual1_finishes_at_large_n():
+    # The search for destabilizing classes and the scan over pairs were both
+    # quadratic in n; the rule and the two smallest collapse counts are linear.
+    start = time.monotonic()
+    assert verify_qualitative(T23, "qual1", 1, 1, 10**5).passed
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
