@@ -278,8 +278,8 @@ def test_qual1_finishes_at_large_k():
 
 
 def test_qual1_finishes_at_large_n():
-    # The search for destabilizing classes and the scan over pairs were both
-    # quadratic in n; the rule and the two smallest collapse counts are linear.
+    # The upper-neighbor search and the scan over pairs are quadratic in n;
+    # the rule and the two smallest collapse counts are linear.
     start = time.monotonic()
     assert verify_qualitative(T23, "qual1", 1, 1, 10**5).passed
     elapsed = time.monotonic() - start
