@@ -17,17 +17,16 @@ and the second family rises back to ``s``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .farey import Slope, ccw_strictly_between, circular_key, edge_slopes, extreme_neighbors
+from .farey import Slope, ccw_strictly_between, circular_key, edge_slopes, extreme_neighbors, frozen
 
 FRONT = "front"
 BACK = "back"
 SIDES = (FRONT, BACK)
 
 
-@dataclass(frozen=True)
+@frozen
 class TorusState:
     """Standard convex torus with two dividing curves: dividing slope and
     ruling slope."""

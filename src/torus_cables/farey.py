@@ -13,7 +13,7 @@ the negative slopes continuing from -infinity back around to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
@@ -26,7 +26,76 @@ def _fraction(num: int, den: int):
     return _fraction(num, den)
 
 
-@dataclass(frozen=True, order=False)
+# -- immutable value types ----------------------------------------------------
+
+def _blocked(self, other):
+    raise TypeError(f"{type(self).__name__} values are not ordered, added or repeated")
+
+
+class _DataclassFields:
+    """``__dataclass_fields__`` built on first use, so that
+    ``dataclasses.replace`` and ``dataclasses.fields`` accept every value
+    type while no command imports ``dataclasses``."""
+
+    def __get__(self, obj, owner):
+        from dataclasses import make_dataclass
+
+        fields = make_dataclass(owner.__name__, owner._fields).__dataclass_fields__
+        owner.__dataclass_fields__ = fields  # later lookups skip this descriptor
+        return fields
+
+
+class _Value(tuple):
+    """The tuple of a value's fields; see :func:`frozen`."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _blocked
+    __add__ = __radd__ = __mul__ = __rmul__ = _blocked
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # NotImplemented would let tuple.__eq__ answer for a plain tuple.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+def frozen(cls):
+    """Rebuild an annotated class as an immutable tuple of its fields.
+
+    It behaves as under ``@dataclass(frozen=True)``: the annotations, in
+    order, are the fields and class-level values their defaults;
+    ``__post_init__`` checks run on construction; the repr reads
+    ``Name(field=value, ...)``; a value equals only a value of its own class
+    with equal fields, and hashes as the tuple of its fields.  Attributes
+    cannot be set or deleted, and ordering, ``+`` and ``*`` raise
+    ``TypeError``.  ``collections.namedtuple`` supplies the constructor,
+    with keywords and defaults, and the field accessors; a class that
+    normalizes its fields defines ``__new__`` itself.
+    """
+    ns = dict(cls.__dict__)
+    names = tuple(ns["__annotations__"])
+    fields = namedtuple(cls.__name__, names, defaults=[ns.pop(n) for n in names if n in ns])
+    for name in ("__dict__", "__weakref__"):
+        ns.pop(name, None)
+    ns.update({n: fields.__dict__[n] for n in names}, __slots__=(), _fields=names,
+              __repr__=fields.__repr__)
+    ns.setdefault("__new__", fields.__new__)
+    check = ns.pop("__post_init__", None)
+    if check is not None:
+        ns["__init__"] = lambda self, *args, **kwargs: check(self)
+    return type(cls.__name__, (_Value,), ns)
+
+
+@frozen
 class Slope:
     """A reduced slope num/den with den >= 0; den == 0 encodes infinity."""
 
@@ -91,11 +160,12 @@ def normalize(num: int, den: int) -> Slope:
         return INFINITY
     if den < 0:
         num, den = -num, -den
-    g = gcd(abs(num), den)
-    return Slope(num // g, den // g)
+    g = gcd(num, den)
+    # Reduced with den > 0 by construction, so Slope's checks are skipped.
+    return tuple.__new__(Slope, (num // g, den // g))
 
 
-@dataclass(frozen=True)
+@frozen
 class ContinuedFraction:
     """Minus-sign continued fraction a0 - 1/(a1 - 1/(... - 1/an)).
 
@@ -105,15 +175,15 @@ class ContinuedFraction:
 
     coeffs: tuple
 
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", cs)
+    def __new__(cls, coeffs):
+        cs = tuple(int(c) for c in coeffs)
         if not cs:
             raise ValueError("continued fraction needs at least one coefficient")
         if cs[0] < 1:
             raise ValueError("leading coefficient must be >= 1")
         if any(c < 2 for c in cs[1:]):
             raise ValueError("coefficients after the first must be >= 2")
+        return tuple.__new__(cls, (cs,))
 
     def __str__(self) -> str:
         head = str(self.coeffs[0])

@@ -34,12 +34,11 @@ additionally carry one protected pair per integer band below the slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from itertools import repeat
 from math import gcd, inf
-from typing import Optional
 
-from .farey import Slope, intersect, normalize
+from .farey import Slope, frozen, intersect, normalize
 from .torus_knots import (
     INFLUENCE_LOWER,
     INFLUENCE_UPPER,
@@ -57,7 +56,7 @@ BRANCH_L = "branch_l"
 BRANCH_K = "branch_k"
 
 
-@dataclass(frozen=True)
+@frozen
 class CableSpec:
     """The (r, s)-cable of a positive torus knot; slope s/r, s normalized >= 1."""
 
@@ -65,18 +64,16 @@ class CableSpec:
     r: int
     s: int
 
-    def __post_init__(self):
-        r, s = self.r, self.s
+    def __new__(cls, knot, r, s):
         if s < 0:
             r, s = -r, -s
-            object.__setattr__(self, "r", r)
-            object.__setattr__(self, "s", s)
         if r == 0:
             raise ValueError("r must be nonzero (the longitude is not a cable)")
         if s == 0:
             raise ValueError("s must be nonzero (the meridian is not a cable)")
         if gcd(abs(r), s) != 1:
             raise ValueError("r and s must be coprime")
+        return tuple.__new__(cls, (knot, r, s))
 
     @property
     def slope(self) -> Slope:
@@ -86,7 +83,7 @@ class CableSpec:
         return f"{self.knot}_({self.r},{self.s})"
 
 
-@dataclass(frozen=True)
+@frozen
 class Generator:
     """One generating Legendrian knot of the classification.
 
@@ -98,9 +95,9 @@ class Generator:
     kind: str
     tb: int
     rot: int
-    sign: Optional[int] = None
-    index: Optional[int] = None
-    bound: Optional[int] = None
+    sign: int | None = None
+    index: int | None = None
+    bound: int | None = None
     destabilizable: bool = True
 
     def __post_init__(self):
@@ -123,7 +120,7 @@ class Generator:
         return f"protected_k:{tag}"
 
 
-@dataclass(frozen=True)
+@frozen
 class Common:
     """The single merged class of the simple family at a lattice point."""
 
@@ -131,7 +128,7 @@ class Common:
     tb: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Branch:
     """The protected class S_sign^x S_(-sign)^y of a branch generator."""
 
@@ -154,23 +151,26 @@ class Branch:
         return self.gen.rot + self.gen.sign * (self.x - self.y)
 
 
-@dataclass(frozen=True)
+@frozen
 class Parameters:
     """Derived quantities reported alongside a classification."""
 
     w: int
-    n: Optional[int] = None
-    k: Optional[int] = None
-    e_n: Optional[Slope] = None
-    e_n_a: Optional[Slope] = None
-    e_n_c: Optional[Slope] = None
-    c: Optional[int] = None
-    c_prime: Optional[int] = None
+    n: int | None = None
+    k: int | None = None
+    e_n: Slope | None = None
+    e_n_a: Slope | None = None
+    e_n_c: Slope | None = None
+    c: int | None = None
+    c_prime: int | None = None
     tb_max: int = 0
 
 
-@dataclass(frozen=True)
+@frozen
 class Classification:
+    """The generators of a cable's classification: the peaks, then the
+    protected branches, so the branches are a suffix of ``generators``."""
+
     cable: CableSpec
     region: Region
     parameters: Parameters
@@ -182,16 +182,20 @@ class Classification:
 
     @property
     def simple(self) -> bool:
-        """Legendrian simple: no generator is protected."""
-        return not self.branches
+        """Legendrian simple: no generator is protected.  The protected ones
+        come last, so the last generator decides."""
+        return not self.generators[-1].protected
+
+    def _first_branch(self) -> int:
+        return bisect_left(self.generators, True, key=lambda g: g.protected)
 
     @property
     def peaks(self) -> tuple:
-        return tuple(g for g in self.generators if g.kind == PEAK)
+        return self.generators[: self._first_branch()]
 
     @property
     def branches(self) -> tuple:
-        return tuple(g for g in self.generators if g.protected)
+        return self.generators[self._first_branch():]
 
 
 def bennequin_bound(cable: CableSpec) -> int:
@@ -397,13 +401,21 @@ def destabilizes(cls: Classification, klass) -> bool:
     return any(common_reachable(cls, klass.rot + sign, klass.tb + 1) for sign in (1, -1))
 
 
-@dataclass(frozen=True, eq=False)
+@frozen
 class MountainRange:
-    """Class counts per (rot, tb) lattice point, down to a tb floor."""
+    """Class counts per (rot, tb) lattice point, down to a tb floor.
+
+    Compared by identity: ``counts`` is a dict, and no caller compares two
+    ranges by value.
+    """
 
     tb_floor: int
     tb_max: int
     counts: dict
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def count(self, rot: int, tb: int) -> int:
         return self.counts.get((rot, tb), 0)

@@ -11,13 +11,12 @@ and which cables fail to be Legendrian simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
 
 from .farey import (
     Slope,
     ccw_strictly_between,
+    frozen,
     neighbors,
     normalize,
 )
@@ -30,7 +29,7 @@ INFLUENCE_LOWER = "influence_lower"
 TREFOIL_BAND = "trefoil_band"
 
 
-@dataclass(frozen=True)
+@frozen
 class TorusKnotSpec:
     """A positive (p, q)-torus knot, normalized so that q > p > 1."""
 
@@ -75,7 +74,7 @@ def exceptional_indices(spec: TorusKnotSpec, bound: int) -> frozenset:
     return frozenset(n for n in range(2, bound + 1) if gcd(n, w) == 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class InfluenceInterval:
     """Exceptional slope e with its extreme neighbors; J = (lower, upper) is
     the open interval of influence and I = [e, upper) its upper half."""
@@ -104,12 +103,12 @@ def influence_interval(spec: TorusKnotSpec, n: int) -> InfluenceInterval:
     return InfluenceInterval(index=n, center=e, upper=upper, lower=lower)
 
 
-@dataclass(frozen=True)
+@frozen
 class Region:
     """Location of a cable slope relative to the influence intervals."""
 
     kind: str
-    index: Optional[int] = None
+    index: int | None = None
 
     def __str__(self) -> str:
         if self.index is None:
@@ -152,7 +151,7 @@ def locate(spec: TorusKnotSpec, slope: Slope) -> Region:
     return Region(SIMPLE_MID)
 
 
-@dataclass(frozen=True)
+@frozen
 class NonThickenableProfile:
     """Census of non-thickenable tori at the k-th exceptional slope."""
 
@@ -176,7 +175,7 @@ def nonthickenable_profile(spec: TorusKnotSpec, k: int) -> NonThickenableProfile
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class CensusRecord:
     """Count of solid tori with two dividing curves of a given slope."""
 
@@ -246,11 +245,11 @@ THICKENS_PARTIAL = "thickens_partial"
 NON_THICKENABLE = "non_thickenable"
 
 
-@dataclass(frozen=True)
+@frozen
 class ThickeningOutcome:
     kind: str
-    index: Optional[int] = None
-    limit: Optional[Slope] = None
+    index: int | None = None
+    limit: Slope | None = None
 
     def __str__(self) -> str:
         if self.kind == THICKENS_TO_MAX:
@@ -264,7 +263,7 @@ def thickening_outcome(
     spec: TorusKnotSpec,
     dividing: Slope,
     curve_pairs: int,
-    inside_index: Optional[int] = None,
+    inside_index: int | None = None,
 ) -> ThickeningOutcome:
     """Thickening behavior of a convex solid torus representing the knot.
 

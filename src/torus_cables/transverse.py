@@ -18,12 +18,10 @@ cable is transversely simple when the top chain is its only branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import nsmallest
 from math import gcd
-from typing import Optional
 
-from .farey import farey_combine, intersect
+from .farey import farey_combine, frozen, intersect
 from .legendrian import (
     CableSpec,
     Classification,
@@ -46,7 +44,7 @@ from .torus_knots import (
 TOP_CHAIN = "top"
 
 
-@dataclass(frozen=True)
+@frozen
 class TransverseBranch:
     """One chain of transverse classes: alive from sl_top down to
     merge_sl + 2, isotopic to the top chain at merge_sl and below."""
@@ -54,7 +52,7 @@ class TransverseBranch:
     origin: str
     sl_top: int
     destabilizable: bool
-    merge_sl: Optional[int] = None
+    merge_sl: int | None = None
 
     def __post_init__(self):
         if self.sl_top % 2 == 0:
@@ -63,7 +61,7 @@ class TransverseBranch:
             raise ValueError("merge depth must sit strictly below the branch top")
 
 
-@dataclass(frozen=True)
+@frozen
 class TransverseClassification:
     cable: CableSpec
     max_sl: int
@@ -162,14 +160,14 @@ def count_transverse(tcls: TransverseClassification, sl: int) -> int:
 
 # -- verifiers for the qualitative statements --------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Claim:
     description: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class QualReport:
     suite: str
     knot: TorusKnotSpec

@@ -42,6 +42,17 @@ def test_normalize_rejects_zero_over_zero():
         normalize(0, 0)
 
 
+def test_normalize_agrees_with_the_validating_constructor():
+    # normalize builds its reduced result without Slope's checks; every
+    # multiple of every grid slope, either sign and 0/1 included, must give
+    # the value Slope(num, den) validates.
+    for s in grid_slopes(40, include_infinity=False):
+        for k in (1, 2, 7, -1, -6):
+            got = normalize(k * s.num, k * s.den)
+            assert type(got) is Slope and got == Slope(s.num, s.den), (s, k)
+            assert repr(got) == repr(s) and hash(got) == hash(s)
+
+
 def test_parse_roundtrip():
     for text in ("5/3", "-1/2", "7", "1/0", "0/1"):
         assert str(Slope.parse(text)) in (text, text + "/1")

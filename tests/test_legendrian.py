@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torus_cables.legendrian import (
+    PEAK,
     Branch,
     CableSpec,
     Common,
@@ -499,3 +500,34 @@ def test_generator_parity_everywhere():
                 cls = classify(CableSpec(spec, r, s))
                 for g in cls.generators:
                     assert (g.tb + g.rot) % 2 == 1
+
+
+def _assert_branches_are_a_suffix(cls):
+    # classify lists the peaks first and the protected branches after them,
+    # which is what Classification.branches, .peaks and .simple rely on.
+    flags = [g.protected for g in cls.generators]
+    assert flags == sorted(flags), cls.cable
+    assert cls.branches == tuple(g for g in cls.generators if g.protected)
+    assert cls.peaks == tuple(g for g in cls.generators if g.kind == PEAK)
+    assert cls.simple == (not any(flags))
+
+
+def test_branches_are_a_suffix_on_criterion_10_knots():
+    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
+    branched = 0
+    for spec in knots:
+        for r, s in reduced_pairs(20):
+            if s == 1 and r < spec.width:
+                continue
+            cls = classify(CableSpec(spec, r, s))
+            _assert_branches_are_a_suffix(cls)
+            branched += not cls.simple
+    assert branched > 100
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_WIDE_CABLES)
+def test_branches_are_a_suffix_on_wide_knots(cable):
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1)
+    _assert_branches_are_a_suffix(classify(CableSpec(knot, r, s)))

@@ -72,3 +72,25 @@ def test_star_import_binds_every_name():
             "assert sorted(n for n in ns if n != '__builtins__') == sorted(torus_cables.__all__)\n"
             "assert len(torus_cables.__all__) == 53")
     assert len(_loaded_layers(code)) == 5
+
+
+def test_commands_import_no_dataclasses_inspect_or_typing():
+    # Cold start: the value types need none of these modules, so no command
+    # pays for importing them.  -S keeps site's own imports out of the count.
+    argvs = [
+        ["farey", "neighbors", "355/113"],
+        ["bypass", "front", "3/7", "1/2"],
+        ["tori", "census", "--pq", "3,4", "--slope", "5/2"],
+        ["classify", "--pq", "2,5", "--rs", "7,5", "--json"],
+        ["mountain", "--pq", "2,3", "--rs", "2,5", "--tb-floor", "4"],
+        ["transverse", "--pq", "3,4", "--rs", "7,2", "--json"],
+        ["verify", "--suite", "qual4", "--pq", "2,5", "--k", "2", "--m", "3", "--n", "5"],
+    ]
+    code = (f"import io, sys\nfrom torus_cables import cli\nfor argv in {argvs!r}:\n"
+            "    assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
