@@ -140,12 +140,13 @@ def render_mountain(mr) -> str:
     """ASCII grid: tb rows descending, one column per rot in the populated
     span, digits (letters from ten up, ``*`` from 36) at populated cells and
     dots elsewhere."""
-    if not mr.counts:
+    counts = mr.counts
+    if not counts:
         raise ValueError("empty mountain range")
     rows = {}  # tb -> its populated rots
-    for rot, tb in mr.counts:
+    for rot, tb in counts:
         rows.setdefault(tb, []).append(rot)
-    lo, hi = min(rot for rot, _ in mr.counts), max(rot for rot, _ in mr.counts)
+    lo, hi = min(rot for rot, _ in counts), max(rot for rot, _ in counts)
     # The widest label of a range of integers sits at one of its ends.
     colw = max(len(str(lo)), len(str(hi))) + 1
     gutter = max(len(str(mr.tb_floor)), len(str(mr.tb_max)))
@@ -154,7 +155,7 @@ def render_mountain(mr) -> str:
     for tb in range(mr.tb_max, mr.tb_floor - 1, -1):
         row = ["."] * (hi - lo + 1)
         for rot in rows.pop(tb, ()):
-            row[rot - lo] = _GLYPHS[min(mr.counts[rot, tb], 36)]
+            row[rot - lo] = _GLYPHS[min(counts[rot, tb], 36)]
         lines.append(str(tb).rjust(gutter) + pad + pad.join(row))
     return "\n".join(lines)
 

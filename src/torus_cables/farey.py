@@ -86,9 +86,9 @@ def frozen(cls):
     fields = namedtuple(cls.__name__, names, defaults=[ns.pop(n) for n in names if n in ns])
     for name in ("__dict__", "__weakref__"):
         ns.pop(name, None)
-    ns.update({n: fields.__dict__[n] for n in names}, __slots__=(), _fields=names,
-              __repr__=fields.__repr__)
-    ns.setdefault("__new__", fields.__new__)
+    ns.update({n: fields.__dict__[n] for n in names}, __slots__=(), _fields=names)
+    for name in ("__new__", "__repr__"):
+        ns.setdefault(name, fields.__dict__[name])
     check = ns.pop("__post_init__", None)
     if check is not None:
         ns["__init__"] = lambda self, *args, **kwargs: check(self)
