@@ -64,7 +64,7 @@ class _Value(tuple):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
-    def __getnewargs__(self):
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
         return tuple(self)
 
 
