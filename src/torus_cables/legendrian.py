@@ -169,7 +169,8 @@ class Parameters:
 @frozen
 class Classification:
     """The generators of a cable's classification: the peaks, then the
-    protected branches, so the branches are a suffix of ``generators``."""
+    protected branches, so the branches are a suffix of ``generators``.
+    The peaks share one tb and are sorted by rot, strictly ascending."""
 
     cable: CableSpec
     region: Region
@@ -196,6 +197,11 @@ class Classification:
     @property
     def branches(self) -> tuple:
         return self.generators[self._first_branch():]
+
+    @property
+    def peak_ends(self) -> tuple:
+        """The peaks of least and of greatest rot, read without a scan."""
+        return self.generators[0], self.generators[self._first_branch() - 1]
 
 
 def bennequin_bound(cable: CableSpec) -> int:
@@ -226,13 +232,33 @@ def max_tb(cable: CableSpec) -> int:
     return cable.r * cable.s
 
 
-def _peak_rots(r: int, s: int, k: int, w: int) -> list:
-    """Rotation numbers of the maximal-tb peaks, sorted: the cables of the
-    Legendrian torus knots L with ``tb(L) = k``, that is
-    ``+/-(r - s*k) + s*rot(L)`` for ``rot(L)`` in ``k-w, k-w+2, ..., w-k``."""
-    return sorted(
-        {sign * (r - s * k) + s * rho for rho in range(k - w, w - k + 1, 2) for sign in (1, -1)}
-    )
+def _peak_rots(r: int, s: int, k: int, w: int):
+    """Rotation numbers of the maximal-tb peaks, distinct and ascending: the
+    cables of the Legendrian torus knots L with ``tb(L) = k``, that is
+    ``+/-(r - s*k) + s*rot(L)`` for ``rot(L)`` in ``k-w, k-w+2, ..., w-k``.
+
+    The two signs give two progressions of ``w - k + 1`` terms with step
+    ``2s``, the upper one ``2|r - s*k|`` above the lower.  When that offset
+    is ``q`` steps and no remainder, and they overlap or touch, their union
+    is one progression.  Otherwise they share no term, and the merge is
+    linear: the lower terms below the upper start come first, then the two
+    alternate, and the upper terms past the lower stop come last.
+    """
+    step, count = 2 * s, max(w - k + 1, 0)
+    half = abs(r - s * k)
+    lower = range(s * (k - w) - half, s * (k - w) - half + step * count, step)
+    upper = range(lower.start + 2 * half, lower.stop + 2 * half, step)
+    q, t = divmod(2 * half, step)
+    if t == 0 and q <= count:
+        return range(lower.start, upper.stop, step)
+    below = min(q + 1, count)
+    end = 2 * count - below
+    rots = [0] * (2 * count)
+    rots[:below] = lower[:below]
+    rots[below:end:2] = upper[:count - below]
+    rots[below + 1:end:2] = lower[below:]
+    rots[end:] = upper[count - below:]
+    return rots
 
 
 def classify(cable: CableSpec) -> Classification:
@@ -262,7 +288,9 @@ def classify(cable: CableSpec) -> Classification:
         gens = [Generator(PEAK, tb=tb_max, rot=0)]
     else:
         k = -(-r // s)  # ceil(r/s)
-        gens = [Generator(PEAK, tb=rs, rot=i) for i in _peak_rots(r, s, k, w)]
+        # (kind, tb, rot) by position: keywords cost a third more per peak,
+        # and there are up to 2w of them.
+        gens = [Generator(PEAK, rs, rot) for rot in _peak_rots(r, s, k, w)]
     if region.kind == TREFOIL_BAND:
         n = region.index
         params.update(n=n, c=r - 1 if n >= 2 else None)
@@ -313,27 +341,34 @@ def classify(cable: CableSpec) -> Classification:
 
 # -- the class model --------------------------------------------------------
 
-def _common_apexes(cls: Classification):
+def _common_apexes(peaks, branches):
     """The apexes ``(rot, tb)`` of the common class's downward cones: each
-    peak, and each protected branch's first-collapse point."""
-    for g in cls.generators:
-        if g.protected:
-            yield g.rot + g.sign * (g.bound + 1), g.tb - g.bound - 1
-        else:
-            yield g.rot, g.tb
+    given peak, and each protected branch's first-collapse point."""
+    for g in peaks:
+        yield g.rot, g.tb
+    for g in branches:
+        yield g.rot + g.sign * (g.bound + 1), g.tb - g.bound - 1
 
 
 def common_reachable(cls: Classification, rot: int, tb: int) -> bool:
     """Whether the merged simple-family class exists at the lattice point.
 
     The common class lives on the union of the downward cones of the peaks
-    and of the first-collapse points of the protected branches.
+    and of the first-collapse points of the protected branches.  The peaks
+    share one tb and are sorted by rot, so of all the peak cones the widest
+    at ``rot`` belongs to the nearest peak on one side or the other: a
+    bisection finds those two, and each branch's cone is checked on its own,
+    in O(log w + branches).
     """
     if (rot + tb) % 2 == 0:
         return False
+    gens = cls.generators
+    first_branch = cls._first_branch()
+    i = bisect_left(gens, rot, 0, first_branch, key=lambda g: g.rot)
+    nearest = gens[max(i - 1, 0):min(i + 1, first_branch)]
     return any(
         tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb
-        for apex_rot, apex_tb in _common_apexes(cls)
+        for apex_rot, apex_tb in _common_apexes(nearest, gens[first_branch:])
     )
 
 
@@ -434,8 +469,8 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     """
     if tb_floor > cls.tb_max:
         raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {cls.tb_max}")
-    apexes = sorted(_common_apexes(cls), key=lambda a: a[0] - a[1])
     branches = cls.branches
+    apexes = sorted(_common_apexes(cls.peaks, branches), key=lambda a: a[0] - a[1])
     counts = {}
     for tb in range(tb_floor, cls.tb_max + 1):
         edges = []

@@ -78,11 +78,18 @@ class TransverseClassification:
 
 
 def quotient_transverse(cls: Classification) -> TransverseClassification:
-    """Transverse classes as negative-stabilization orbits of the model."""
+    """Transverse classes as negative-stabilization orbits of the model.
+
+    The maximal self-linking number is the largest ``tb + |rot|`` over the
+    generators.  The peaks share one tb and are sorted by rot, so among them
+    only the two ends can attain it, and the maximum is read from those two
+    and the branches, in O(log w + branches).
+    """
     # Read off the generators rather than bennequin_bound, so the routes stay independent.
-    top_sl = max(g.tb + abs(g.rot) for g in cls.generators)
+    branch_gens = cls.branches
+    top_sl = max(g.tb + abs(g.rot) for g in (*cls.peak_ends, *branch_gens))
     branches = [TransverseBranch(TOP_CHAIN, top_sl, destabilizable=False)]
-    for g in cls.branches:
+    for g in branch_gens:
         if g.sign != 1:
             continue  # minus-protected branches collapse into the top chain
         # The branch head and its negative-stabilization orbit Branch(g, 0, y)

@@ -9,6 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_cables import bypass, cli, transverse
 from torus_cables.cli import render_mountain, run
@@ -338,3 +340,75 @@ def test_readme_quick_start_replay():
         else:
             exec(line, namespace)
     assert checked == 4
+
+
+# The argv grammar of all 7 subcommands, with small numbers so that every
+# command finishes quickly.  One argv in four then has one token after the
+# command replaced by a malformed one or dropped.
+_INT = st.integers(-12, 40).map(str)
+_SLOPE = st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-3, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.integers(-12, 12).map(str),
+    st.sampled_from(["inf", "oo", "1/0", "0/0"]),
+)
+_PQ = st.sampled_from(["2,3", "2,5", "3,4", "2,7", "3,5", "4,5", "3,7", "5,7", "2,4", "3,2", "-2,3"])
+_RS = st.tuples(st.integers(-12, 12), st.integers(-3, 12)).map(lambda t: f"{t[0]},{t[1]}")
+_SMALL = st.integers(-1, 12).map(str)
+_JUNK = st.sampled_from(["x", "", "1.5", "2/", "/3", "1,", "1,2,3", "--json", "-", "--help"])
+
+
+@st.composite
+def _argv(draw):
+    def options(required, optional=()):
+        # The required options, then each optional one present or not.
+        present = [*required, *(o for o in optional if draw(st.booleans()))]
+        # A value that starts with "-" is joined to its flag, or argparse
+        # takes it for an option.
+        argv = []
+        for flag, value in present:
+            if value is None:
+                argv.append(flag)
+                continue
+            v = draw(value)
+            argv += [f"{flag}={v}"] if v.startswith("-") else [flag, v]
+        return argv
+
+    command = draw(st.sampled_from(["farey", "bypass", "tori", "classify", "mountain",
+                                    "transverse", "verify"]))
+    if command in ("farey", "bypass"):
+        if command == "farey":
+            extra = [draw(_SLOPE), draw(_INT), draw(_INT)][:draw(st.integers(0, 3))]
+            positional = [draw(st.sampled_from(cli._ops("farey"))), draw(_SLOPE), *extra]
+        else:
+            positional = [draw(st.sampled_from(cli.SIDES)), draw(_SLOPE), draw(_SLOPE)]
+        argv = options((), [("--den-bound", _SMALL), ("--json", None)])
+        # A positional that starts with "-" has to follow "--".
+        argv += ["--"] * any(a.startswith("-") for a in positional) + positional
+    elif command == "tori":
+        argv = [draw(st.sampled_from(cli._ops("tori")))]
+        argv += options([("--pq", _PQ)], [("--slope", _SLOPE), ("--k", _INT), ("--n", _INT),
+                                          ("--bound", _INT), ("--json", None)])
+    elif command == "verify":
+        argv = options([("--suite", st.sampled_from(cli.SUITES)), ("--k", _SMALL), ("--m", _SMALL),
+                        ("--n", _SMALL)], [("--pq", _PQ), ("--json", None)])
+    else:
+        required = [("--pq", _PQ), ("--rs", _RS)]
+        required += [("--tb-floor", _INT)] if command == "mountain" else []
+        optional = [("--sl-floor", _INT)] if command == "transverse" else []
+        argv = options(required, [*optional, ("--json", None)])
+    argv = [command, *argv]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(1, len(argv) - 1))
+        argv[i:i + 1] = draw(st.sampled_from([[], [draw(_JUNK)]]))
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    # Every argv ends in 0, 1 or 2 through run(); a traceback fails the test.
+    # An exit 1 with a diagnostic gives it on one "error: " line.
+    code, _, err = invoke(*argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1 and err:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -4,7 +4,7 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torus_cables.legendrian import (
@@ -12,10 +12,13 @@ from torus_cables.legendrian import (
     Branch,
     CableSpec,
     Common,
+    _common_apexes,
+    _peak_rots,
     bennequin_bound,
     cable_rot,
     classes_at,
     classify,
+    common_reachable,
     destabilizes,
     divide_tb,
     max_tb,
@@ -26,6 +29,7 @@ from torus_cables.legendrian import (
 from torus_cables.torus_knots import (
     INFLUENCE_LOWER,
     INFLUENCE_UPPER,
+    LOW_RANGE,
     TREFOIL_BAND,
     TorusKnotSpec,
     locate,
@@ -531,3 +535,90 @@ def test_branches_are_a_suffix_on_wide_knots(cable):
     knot, r, s = cable
     assume(r != 0 and gcd(abs(r), s) == 1)
     _assert_branches_are_a_suffix(classify(CableSpec(knot, r, s)))
+
+
+def _sorted_peak_rots(r, s, k, w):
+    # The set-and-sort listing of the peak family, the oracle of _peak_rots.
+    return sorted(
+        {sign * (r - s * k) + s * rho for rho in range(k - w, w - k + 1, 2) for sign in (1, -1)}
+    )
+
+
+def _scanned_common_reachable(cls, rot, tb):
+    # The scan of every apex cone, the oracle of common_reachable's bisection.
+    if (rot + tb) % 2 == 0:
+        return False
+    return any(
+        tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb
+        for apex_rot, apex_tb in _common_apexes(cls.peaks, cls.branches)
+    )
+
+
+# (r, s, k, w) for each way the two progressions +/-(r - s*k) + s*rho can
+# meet.  A cable has k = ceil(r/s), so they coincide when s = 1 and
+# interleave otherwise; a k away from that also gives progressions with one
+# residue mod 2s and a gap between them.
+_PROGRESSIONS = st.one_of(
+    # coincident: r = s*k
+    st.builds(lambda s, k, w: (s * k, s, k, w),
+              st.integers(1, 12), st.integers(-30, 30), st.integers(-5, 60)),
+    # interleaved: r = s*k - t with 0 < t < s, the cables' own case
+    st.integers(2, 12).flatmap(lambda s: st.builds(
+        lambda t, k, w: (s * k - t, s, k, w),
+        st.integers(1, s - 1), st.integers(-30, 30), st.integers(-5, 60))),
+    # one residue, touching or with a gap: r - s*k is a multiple of s at
+    # least as large as s times the w - k + 1 terms
+    st.builds(lambda s, k, terms, past, sign: (s * (k + sign * (terms + past)), s, k, k - 1 + terms),
+              st.integers(1, 12), st.integers(-30, 30), st.integers(0, 20), st.integers(0, 30),
+              st.sampled_from((1, -1))),
+    st.tuples(st.integers(-200, 200), st.integers(1, 12), st.integers(-30, 30), st.integers(-5, 60)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_PROGRESSIONS)
+@example((6, 3, 2, 5))  # coincident
+@example((7, 3, 3, 10))  # interleaved
+@example((6, 1, 2, 5))  # one residue, touching
+@example((30, 1, 2, 5))  # one residue, a gap
+@example((3, 1, 9, 5))  # no terms
+def test_peak_rots_match_set_and_sort(args):
+    rots = list(_peak_rots(*args))
+    assert rots == _sorted_peak_rots(*args), args
+    assert all(a < b for a, b in zip(rots, rots[1:])), args
+
+
+def _probe_points(cls):
+    # Lattice points around the two end peaks, a middle peak and each
+    # branch's collapse point, a few levels above and below each.
+    peaks = cls.peaks
+    centers = {(p.rot, p.tb) for p in (peaks[0], peaks[len(peaks) // 2], peaks[-1])}
+    centers |= set(_common_apexes((), cls.branches))
+    return [(rot + dr, tb - dt) for rot, tb in centers for dr in range(-4, 5) for dt in range(-2, 4)]
+
+
+_PEAK_CABLES = st.one_of(
+    _WIDE_CABLES,
+    st.tuples(st.sampled_from(_WIDE_KNOTS), st.integers(-40, -1), st.integers(1, 24)),  # negative slopes
+    st.tuples(st.just(T23), st.integers(1, 30), st.integers(2, 90)),  # trefoil bands, s > r
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_PEAK_CABLES)
+def test_peaks_and_common_reachable_match_oracles(cable):
+    # The peaks share one tb and are sorted by rot, which is what lets
+    # quotient_transverse read the two ends and common_reachable bisect.
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1 and not (s == 1 and r < knot.width))
+    cls = classify(CableSpec(knot, r, s))
+    peaks = cls.peaks
+    rots = [p.rot for p in peaks]
+    assert all(a < b for a, b in zip(rots, rots[1:])), cls.cable
+    assert {p.tb for p in peaks} == {cls.tb_max}, cls.cable
+    assert cls.peak_ends == (peaks[0], peaks[-1])
+    if cls.region.kind != LOW_RANGE:
+        assert rots == _sorted_peak_rots(r, s, -(-r // s), knot.width), cls.cable
+    for rot, tb in _probe_points(cls):
+        assert common_reachable(cls, rot, tb) == _scanned_common_reachable(cls, rot, tb), (
+            cls.cable, rot, tb)

@@ -128,6 +128,30 @@ def test_quotient_coherence_small():
             assert side_branches(a) == side_branches(b), cable
 
 
+def test_quotient_route_matches_direct_route_on_wider_knots():
+    # Criterion 8's comparison on eight knots with |r|, s <= 30, T(31,33) of
+    # width 959 among them.  The quotient route reads its maximum from the
+    # two peak ends and the branches; the direct route from bennequin_bound.
+    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5),
+             TorusKnotSpec(5, 7), TorusKnotSpec(31, 33)]
+    checked = branched = 0
+    for spec in knots:
+        for r, s in reduced_pairs(30):
+            if not _covered(spec, r, s):
+                continue
+            cable = CableSpec(spec, r, s)
+            via_quotient = quotient_transverse(classify(cable))
+            direct = classify_transverse(cable)
+            assert via_quotient.max_sl == direct.max_sl, cable
+            assert via_quotient.simple == direct.simple, cable
+            assert [
+                (b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in via_quotient.branches
+            ] == [(b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in direct.branches], cable
+            checked += 1
+            branched += not direct.simple
+    assert checked == 8562 and branched > 1000
+
+
 def test_plus_branch_heads_never_destabilize():
     # The orbit search the quotient route replaces with an argument: no class
     # one level up positively stabilizes onto a plus-branch head or onto the
