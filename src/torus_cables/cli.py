@@ -11,10 +11,16 @@ strings; no floating point anywhere.
 arguments that entry needs beyond what argparse enforces.  A handler takes
 the parsed arguments and returns ``(payload, text)``, plus an exit code for
 ``verify``; it neither writes output nor reads ``--json``.  The payload is a
-dict, or, where it grows with the answer (``classify``, ``mountain``,
-``transverse``), a callable that builds one.  ``run`` is the one emitter: it
-reports a missing argument (exit 2), turns a ValueError into ``error: ...``
-on stderr (exit 1), and prints the payload as JSON or the text.
+dict and the text a string, or, where they grow with the answer
+(``classify``, ``mountain``, ``transverse``), each a callable that builds
+it, so only the one that is printed gets built.  ``run`` is the one
+emitter: it reports a missing argument (exit 2), turns a ValueError into
+``error: ...`` on stderr (exit 1), and prints the payload as JSON or the
+text.
+
+A positional slope may be negative: every subcommand reads ``-3/2``, ``-3``
+and ``-.5`` as values, not options, so ``bypass front -1/2 0/1`` needs no
+``--``.
 
 Only ``farey`` is imported with this module (argparse's ``_slope`` needs
 ``Slope``); each handler imports the other layers it uses, so a command
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 
 from .farey import (
@@ -42,6 +49,9 @@ from .farey import (
 # parser loads neither layer; tests/test_cli.py pins them to the originals.
 SIDES = ("front", "back")
 SUITES = ("qual1", "qual2", "qual4")
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _slope(text: str) -> Slope:
@@ -143,20 +153,16 @@ def render_mountain(mr) -> str:
     counts = mr.counts
     if not counts:
         raise ValueError("empty mountain range")
-    rows = {}  # tb -> its populated rots
-    for rot, tb in counts:
-        rows.setdefault(tb, []).append(rot)
-    lo, hi = min(rot for rot, _ in counts), max(rot for rot, _ in counts)
+    lo, hi = min(counts)[0], max(counts)[0]  # keys are (rot, tb)
     # The widest label of a range of integers sits at one of its ends.
     colw = max(len(str(lo)), len(str(hi))) + 1
     gutter = max(len(str(mr.tb_floor)), len(str(mr.tb_max)))
+    rows = [["."] * (hi - lo + 1) for _ in range(mr.tb_floor, mr.tb_max + 1)]  # from tb_max down
+    for (rot, tb), n in counts.items():
+        rows[mr.tb_max - tb][rot - lo] = _GLYPHS[min(n, 36)]
     pad = " " * (colw - 1)  # every glyph is one character wide
     lines = [" " * gutter + "".join(str(rot).rjust(colw) for rot in range(lo, hi + 1))]
-    for tb in range(mr.tb_max, mr.tb_floor - 1, -1):
-        row = ["."] * (hi - lo + 1)
-        for rot in rows.pop(tb, ()):
-            row[rot - lo] = _GLYPHS[min(counts[rot, tb], 36)]
-        lines.append(str(tb).rjust(gutter) + pad + pad.join(row))
+    lines += [str(mr.tb_max - i).rjust(gutter) + pad + pad.join(row) for i, row in enumerate(rows)]
     return "\n".join(lines)
 
 
@@ -305,21 +311,25 @@ def _classify(args):
     from .legendrian import classify
 
     cls = classify(_cable(args))
-    p = cls.parameters
-    lines = [
-        f"cable {cls.cable} (slope {cls.cable.slope}), case {cls.region}",
-        f"tb_max {p.tb_max}, simple {str(cls.simple).lower()}",
-    ]
-    if p.e_n is not None:
-        lines.append(f"exceptional slope {p.e_n}, interval ({p.e_n_c}, {p.e_n_a})")
-    for g in cls.generators:
-        extra = ""
-        if g.protected:
-            extra = f", bound {g.bound}, " + (
-                "destabilizable" if g.destabilizable else "non-destabilizable"
-            )
-        lines.append(f"  {g.id}: tb {g.tb}, rot {g.rot}{extra}")
-    return lambda: classification_payload(cls), "\n".join(lines)
+
+    def text():
+        p = cls.parameters
+        lines = [
+            f"cable {cls.cable} (slope {cls.cable.slope}), case {cls.region}",
+            f"tb_max {p.tb_max}, simple {str(cls.simple).lower()}",
+        ]
+        if p.e_n is not None:
+            lines.append(f"exceptional slope {p.e_n}, interval ({p.e_n_c}, {p.e_n_a})")
+        for g in cls.generators:
+            extra = ""
+            if g.protected:
+                extra = f", bound {g.bound}, " + (
+                    "destabilizable" if g.destabilizable else "non-destabilizable"
+                )
+            lines.append(f"  {g.id}: tb {g.tb}, rot {g.rot}{extra}")
+        return "\n".join(lines)
+
+    return lambda: classification_payload(cls), text
 
 
 def _mountain(args):
@@ -327,7 +337,7 @@ def _mountain(args):
 
     cls = classify(_cable(args))
     mr = mountain_range(cls, args.tb_floor)
-    return lambda: _mountain_payload(cls.cable, mr), render_mountain(mr)
+    return lambda: _mountain_payload(cls.cable, mr), lambda: render_mountain(mr)
 
 
 def _transverse(args):
@@ -338,23 +348,27 @@ def _transverse(args):
     cable = _cable(args)
     cls = classify(cable)
     tcls = quotient_transverse(cls)
-    lines = [
-        f"cable {cable} (slope {cable.slope}), case {cls.region}",
-        f"max sl {tcls.max_sl}, transversely simple {str(tcls.simple).lower()}",
-    ]
-    for b in tcls.branches:
-        if b.origin == TOP_CHAIN:
-            lines.append(f"  top chain from sl {b.sl_top}")
-        else:
-            kind = "destabilizable" if b.destabilizable else "non-destabilizable"
-            lines.append(f"  branch {b.origin}: sl {b.sl_top}, {kind}, merges at sl {b.merge_sl}")
-    if cls.region.kind == INFLUENCE_LOWER:
-        lines.append("  note: branch sl follows tb - rot of its generator; the uniform closed form "
-                     f"r*s + r - s*w would sit 2*{intersect(cable.slope, cls.parameters.e_n)} higher")
-    if args.sl_floor is not None:
-        for sl in range(tcls.max_sl, args.sl_floor - 1, -2):
-            lines.append(f"  sl {sl}: {count_transverse(tcls, sl)} classes")
-    return lambda: transverse_payload(cls, tcls), "\n".join(lines)
+
+    def text():
+        lines = [
+            f"cable {cable} (slope {cable.slope}), case {cls.region}",
+            f"max sl {tcls.max_sl}, transversely simple {str(tcls.simple).lower()}",
+        ]
+        for b in tcls.branches:
+            if b.origin == TOP_CHAIN:
+                lines.append(f"  top chain from sl {b.sl_top}")
+            else:
+                kind = "destabilizable" if b.destabilizable else "non-destabilizable"
+                lines.append(f"  branch {b.origin}: sl {b.sl_top}, {kind}, merges at sl {b.merge_sl}")
+        if cls.region.kind == INFLUENCE_LOWER:
+            lines.append("  note: branch sl follows tb - rot of its generator; the uniform closed form "
+                         f"r*s + r - s*w would sit 2*{intersect(cable.slope, cls.parameters.e_n)} higher")
+        if args.sl_floor is not None:
+            for sl in range(tcls.max_sl, args.sl_floor - 1, -2):
+                lines.append(f"  sl {sl}: {count_transverse(tcls, sl)} classes")
+        return "\n".join(lines)
+
+    return lambda: transverse_payload(cls, tcls), text
 
 
 def _verify(args):
@@ -463,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", type=int, required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--json", action="store_true")
+    for p in sub.choices.values():  # argparse's own pattern lacks "/"
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -484,13 +500,12 @@ def run(argv=None, out=None, err=None) -> int:
             return 2
     try:
         payload, text, *code = handler(args)
+        shown = payload if args.json else text
+        shown = shown() if callable(shown) else shown
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 1
-    if args.json:
-        out.write(_dump(payload() if callable(payload) else payload))
-    else:
-        out.write(text + "\n")
+    out.write(_dump(shown) if args.json else shown + "\n")
     return code[0] if code else 0
 
 

@@ -16,6 +16,11 @@ Every Legendrian class is therefore either ``Common(rot, tb)`` or
 ``Branch(generator, x, y)`` with ``tb = tb_g - x - y`` and
 ``rot = rot_g + sign_g*(x - y)``.
 
+The peaks all sit at ``tb_max``, so a :class:`Classification` stores them as
+their rots alone, ``peak_rots``, next to its protected ``branches``; the
+queries read those two, and ``generators`` builds the peak ``Generator``
+objects only for the callers that list every generator.
+
 ``stabilize`` is the one transition rule of the model, and the mountain
 range is the set of lattice points its words reach.  ``classes_at`` is the
 solved form of that lattice at one point; ``mountain_range`` builds each
@@ -168,14 +173,14 @@ class Parameters:
 
 @frozen
 class Classification:
-    """The generators of a cable's classification: the peaks, then the
-    protected branches, so the branches are a suffix of ``generators``.
-    The peaks share one tb and are sorted by rot, strictly ascending."""
+    """A cable's classification: the rots of its peaks, strictly ascending
+    and every peak at ``tb_max``, and its protected branches."""
 
     cable: CableSpec
     region: Region
     parameters: Parameters
-    generators: tuple
+    peak_rots: tuple
+    branches: tuple
 
     @property
     def tb_max(self) -> int:
@@ -183,25 +188,15 @@ class Classification:
 
     @property
     def simple(self) -> bool:
-        """Legendrian simple: no generator is protected.  The protected ones
-        come last, so the last generator decides."""
-        return not self.generators[-1].protected
-
-    def _first_branch(self) -> int:
-        return bisect_left(self.generators, True, key=lambda g: g.protected)
+        """Legendrian simple: no generator is protected."""
+        return not self.branches
 
     @property
-    def peaks(self) -> tuple:
-        return self.generators[: self._first_branch()]
-
-    @property
-    def branches(self) -> tuple:
-        return self.generators[self._first_branch():]
-
-    @property
-    def peak_ends(self) -> tuple:
-        """The peaks of least and of greatest rot, read without a scan."""
-        return self.generators[0], self.generators[self._first_branch() - 1]
+    def generators(self) -> tuple:
+        """Every generator, built on each access: the peaks in ascending rot,
+        each ``Generator(PEAK, tb_max, rot)``, then the branches."""
+        tb = self.tb_max
+        return (*[Generator(PEAK, tb, rot) for rot in self.peak_rots], *self.branches)
 
 
 def bennequin_bound(cable: CableSpec) -> int:
@@ -268,7 +263,8 @@ def classify(cable: CableSpec) -> Classification:
     as :func:`max_tb` says.  The low range has one peak at rot 0.  Every
     other region, negative slopes and the trefoil bands included, has the
     one peak family of :func:`_peak_rots` with ``k = ceil(r/s)``: the peaks
-    are cables of the Legendrian torus knots with ``tb(L) = k``.  Each
+    are cables of the Legendrian torus knots with ``tb(L) = k``.  The peaks
+    are kept as their rots; no peak ``Generator`` is built here.  Each
     region adds its ``protected_l`` pairs and at most one ``protected_k``
     pair, in that order and plus before minus, together with its own
     parameters.  The classification is simple exactly when no generator is
@@ -285,16 +281,15 @@ def classify(cable: CableSpec) -> Classification:
     k_pair = None  # (tb, |rot|, bound) of the protected_k heads
 
     if region.kind == LOW_RANGE:
-        gens = [Generator(PEAK, tb=tb_max, rot=0)]
+        peak_rots = (0,)
     else:
         k = -(-r // s)  # ceil(r/s)
-        # (kind, tb, rot) by position: keywords cost a third more per peak,
-        # and there are up to 2w of them.
-        gens = [Generator(PEAK, rs, rot) for rot in _peak_rots(r, s, k, w)]
+        peak_rots = tuple(_peak_rots(r, s, k, w))
+    branches = []
     if region.kind == TREFOIL_BAND:
         n = region.index
         params.update(n=n, c=r - 1 if n >= 2 else None)
-        gens += [
+        branches += [
             Generator(BRANCH_L, tb=rs, rot=sign * (s - r), sign=sign, index=j, bound=r - 1)
             for j in range(2, n + 1)
             for sign in (1, -1)
@@ -320,7 +315,7 @@ def classify(cable: CableSpec) -> Classification:
 
     if k_pair is not None:
         tb, rot, bound = k_pair
-        gens += [
+        branches += [
             Generator(
                 BRANCH_K,
                 tb=tb,
@@ -335,18 +330,20 @@ def classify(cable: CableSpec) -> Classification:
         cable=cable,
         region=region,
         parameters=Parameters(w=w, tb_max=tb_max, **params),
-        generators=tuple(gens),
+        peak_rots=peak_rots,
+        branches=tuple(branches),
     )
 
 
 # -- the class model --------------------------------------------------------
 
-def _common_apexes(peaks, branches):
+def _common_apexes(cls: Classification, peak_rots):
     """The apexes ``(rot, tb)`` of the common class's downward cones: each
-    given peak, and each protected branch's first-collapse point."""
-    for g in peaks:
-        yield g.rot, g.tb
-    for g in branches:
+    given peak rot at ``tb_max``, and each protected branch's first-collapse
+    point."""
+    for rot in peak_rots:
+        yield rot, cls.tb_max
+    for g in cls.branches:
         yield g.rot + g.sign * (g.bound + 1), g.tb - g.bound - 1
 
 
@@ -355,20 +352,18 @@ def common_reachable(cls: Classification, rot: int, tb: int) -> bool:
 
     The common class lives on the union of the downward cones of the peaks
     and of the first-collapse points of the protected branches.  The peaks
-    share one tb and are sorted by rot, so of all the peak cones the widest
-    at ``rot`` belongs to the nearest peak on one side or the other: a
-    bisection finds those two, and each branch's cone is checked on its own,
-    in O(log w + branches).
+    all sit at ``tb_max`` and ``peak_rots`` ascends, so of all the peak cones
+    the widest at ``rot`` belongs to the nearest peak on one side or the
+    other: a bisection of ``peak_rots`` finds those two, and each branch's
+    cone is checked on its own, in O(log w + branches).
     """
     if (rot + tb) % 2 == 0:
         return False
-    gens = cls.generators
-    first_branch = cls._first_branch()
-    i = bisect_left(gens, rot, 0, first_branch, key=lambda g: g.rot)
-    nearest = gens[max(i - 1, 0):min(i + 1, first_branch)]
+    rots = cls.peak_rots
+    i = bisect_left(rots, rot)
     return any(
         tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb
-        for apex_rot, apex_tb in _common_apexes(nearest, gens[first_branch:])
+        for apex_rot, apex_tb in _common_apexes(cls, rots[max(i - 1, 0):i + 1])
     )
 
 
@@ -470,7 +465,7 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     if tb_floor > cls.tb_max:
         raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {cls.tb_max}")
     branches = cls.branches
-    apexes = sorted(_common_apexes(cls.peaks, branches), key=lambda a: a[0] - a[1])
+    apexes = sorted(_common_apexes(cls, cls.peak_rots), key=lambda a: a[0] - a[1])
     counts = {}
     for tb in range(tb_floor, cls.tb_max + 1):
         edges = []

@@ -12,8 +12,9 @@ generators fall into the top chain outright.
 case analysis, without the Legendrian engine, so the two routes can be
 cross-checked: its maximal self-linking number is
 :func:`~torus_cables.legendrian.bennequin_bound`, the quotient's is read off
-the generators, and both name each branch after its generator's id.  A
-cable is transversely simple when the top chain is its only branch.
+the two end peak rots and the branches, and both name each branch after its
+generator's id.  A cable is transversely simple when the top chain is its
+only branch.
 """
 
 from __future__ import annotations
@@ -81,13 +82,15 @@ def quotient_transverse(cls: Classification) -> TransverseClassification:
     """Transverse classes as negative-stabilization orbits of the model.
 
     The maximal self-linking number is the largest ``tb + |rot|`` over the
-    generators.  The peaks share one tb and are sorted by rot, so among them
-    only the two ends can attain it, and the maximum is read from those two
-    and the branches, in O(log w + branches).
+    generators.  The peaks all sit at ``tb_max`` and ``peak_rots`` ascends,
+    so the largest ``|rot|`` among them is ``-peak_rots[0]`` or
+    ``peak_rots[-1]``, and the maximum is read from those two and the
+    branches, in O(branches).
     """
     # Read off the generators rather than bennequin_bound, so the routes stay independent.
     branch_gens = cls.branches
-    top_sl = max(g.tb + abs(g.rot) for g in (*cls.peak_ends, *branch_gens))
+    rots = cls.peak_rots
+    top_sl = max([cls.tb_max + max(-rots[0], rots[-1]), *(g.tb + abs(g.rot) for g in branch_gens)])
     branches = [TransverseBranch(TOP_CHAIN, top_sl, destabilizable=False)]
     for g in branch_gens:
         if g.sign != 1:

@@ -88,7 +88,7 @@ def test_criterion_3_published_values_regression():
     cable = CableSpec(T23, 2, 3)
     cls = classify(cable)
     assert cls.tb_max == 6
-    assert sorted(g.rot for g in cls.peaks) == [-1, 1]
+    assert sorted(cls.peak_rots) == [-1, 1]
     ks = sorted((g.rot, g.tb, g.destabilizable) for g in cls.branches)
     assert ks == [(-2, 5, False), (2, 5, False)]
     t = quotient_transverse(cls)

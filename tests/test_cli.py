@@ -381,9 +381,8 @@ def _argv(draw):
             positional = [draw(st.sampled_from(cli._ops("farey"))), draw(_SLOPE), *extra]
         else:
             positional = [draw(st.sampled_from(cli.SIDES)), draw(_SLOPE), draw(_SLOPE)]
-        argv = options((), [("--den-bound", _SMALL), ("--json", None)])
-        # A positional that starts with "-" has to follow "--".
-        argv += ["--"] * any(a.startswith("-") for a in positional) + positional
+        # A negative positional slope stands as it is, with no "--" before it.
+        argv = options((), [("--den-bound", _SMALL), ("--json", None)]) + positional
     elif command == "tori":
         argv = [draw(st.sampled_from(cli._ops("tori")))]
         argv += options([("--pq", _PQ)], [("--slope", _SLOPE), ("--k", _INT), ("--n", _INT),

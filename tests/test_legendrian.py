@@ -12,6 +12,7 @@ from torus_cables.legendrian import (
     Branch,
     CableSpec,
     Common,
+    Generator,
     _common_apexes,
     _peak_rots,
     bennequin_bound,
@@ -99,7 +100,7 @@ def test_classify_trefoil_2_3():
     cls = classify(CableSpec(T23, 2, 3))
     assert cls.tb_max == 6 and not cls.simple
     by_id = gens_by_id(cls)
-    assert {g.rot for g in cls.peaks} == {1, -1}
+    assert set(cls.peak_rots) == {1, -1}
     kp, km = by_id["protected_k:+"], by_id["protected_k:-"]
     assert (kp.tb, kp.rot, kp.bound, kp.destabilizable) == (5, 2, 0, False)
     assert (km.tb, km.rot, km.bound, km.destabilizable) == (5, -2, 0, False)
@@ -109,7 +110,7 @@ def test_classify_trefoil_2_3():
 def test_classify_2_5_cable_3_2():
     cls = classify(CableSpec(T25, 3, 2))
     assert cls.tb_max == 6 and not cls.simple
-    assert sorted(g.rot for g in cls.peaks) == [-3, -1, 1, 3]
+    assert sorted(cls.peak_rots) == [-3, -1, 1, 3]
     kp = gens_by_id(cls)["protected_k:+"]
     assert (kp.tb, kp.rot, kp.bound, kp.destabilizable) == (6, 3, 0, True)
     assert cls.parameters.c == 0
@@ -119,7 +120,7 @@ def test_classify_2_5_cable_3_2():
 def test_classify_trefoil_2_5():
     cls = classify(CableSpec(T23, 2, 5))
     by_id = gens_by_id(cls)
-    assert {g.rot for g in cls.peaks} == {3, -3}
+    assert set(cls.peak_rots) == {3, -3}
     l2p = by_id["protected_l:2:+"]
     assert (l2p.tb, l2p.rot, l2p.bound) == (10, 3, 1)
     kp = by_id["protected_k:+"]
@@ -186,7 +187,7 @@ def test_peak_rotations_cardinality_negative_case():
     cable = CableSpec(T23, 3, -2)
     cls = classify(cable)
     w, n = 1, 1
-    assert len([g for g in cls.peaks if g.rot > 0]) == w + n + 1
+    assert len([rot for rot in cls.peak_rots if rot > 0]) == w + n + 1
 
 
 def test_stabilize_examples():
@@ -319,7 +320,8 @@ def _searched_destabilizes(cls, klass):
 def _heads_in_peak_cones(cls):
     # The invariant the Common rule of destabilizes rests on: every protected
     # head lies in the downward cone of some peak.
-    return all(any(g.tb <= p.tb and abs(g.rot - p.rot) <= p.tb - g.tb for p in cls.peaks)
+    top = cls.tb_max
+    return all(any(g.tb <= top and abs(g.rot - rot) <= top - g.tb for rot in cls.peak_rots)
                for g in cls.branches)
 
 
@@ -506,17 +508,19 @@ def test_generator_parity_everywhere():
                     assert (g.tb + g.rot) % 2 == 1
 
 
-def _assert_branches_are_a_suffix(cls):
-    # classify lists the peaks first and the protected branches after them,
-    # which is what Classification.branches, .peaks and .simple rely on.
-    flags = [g.protected for g in cls.generators]
-    assert flags == sorted(flags), cls.cable
-    assert cls.branches == tuple(g for g in cls.generators if g.protected)
-    assert cls.peaks == tuple(g for g in cls.generators if g.kind == PEAK)
-    assert cls.simple == (not any(flags))
+def _assert_peaks_then_branches(cls):
+    # generators lists the peaks, one Generator(PEAK, tb_max, rot) for each
+    # rot of peak_rots in order, then branches, and every branch is
+    # protected.
+    gens = cls.generators
+    peaks = gens[:len(cls.peak_rots)]
+    assert peaks == tuple(Generator(PEAK, cls.tb_max, rot) for rot in cls.peak_rots), cls.cable
+    assert gens[len(peaks):] == cls.branches, cls.cable
+    assert all(g.protected for g in cls.branches), cls.cable
+    assert cls.simple == (not any(g.protected for g in gens))
 
 
-def test_branches_are_a_suffix_on_criterion_10_knots():
+def test_generators_are_peaks_then_branches_on_criterion_10_knots():
     knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
     branched = 0
     for spec in knots:
@@ -524,17 +528,17 @@ def test_branches_are_a_suffix_on_criterion_10_knots():
             if s == 1 and r < spec.width:
                 continue
             cls = classify(CableSpec(spec, r, s))
-            _assert_branches_are_a_suffix(cls)
+            _assert_peaks_then_branches(cls)
             branched += not cls.simple
     assert branched > 100
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_WIDE_CABLES)
-def test_branches_are_a_suffix_on_wide_knots(cable):
+def test_generators_are_peaks_then_branches_on_wide_knots(cable):
     knot, r, s = cable
     assume(r != 0 and gcd(abs(r), s) == 1)
-    _assert_branches_are_a_suffix(classify(CableSpec(knot, r, s)))
+    _assert_peaks_then_branches(classify(CableSpec(knot, r, s)))
 
 
 def _sorted_peak_rots(r, s, k, w):
@@ -550,7 +554,7 @@ def _scanned_common_reachable(cls, rot, tb):
         return False
     return any(
         tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb
-        for apex_rot, apex_tb in _common_apexes(cls.peaks, cls.branches)
+        for apex_rot, apex_tb in _common_apexes(cls, cls.peak_rots)
     )
 
 
@@ -591,9 +595,9 @@ def test_peak_rots_match_set_and_sort(args):
 def _probe_points(cls):
     # Lattice points around the two end peaks, a middle peak and each
     # branch's collapse point, a few levels above and below each.
-    peaks = cls.peaks
-    centers = {(p.rot, p.tb) for p in (peaks[0], peaks[len(peaks) // 2], peaks[-1])}
-    centers |= set(_common_apexes((), cls.branches))
+    rots = cls.peak_rots
+    centers = {(rot, cls.tb_max) for rot in (rots[0], rots[len(rots) // 2], rots[-1])}
+    centers |= set(_common_apexes(cls, ()))
     return [(rot + dr, tb - dt) for rot, tb in centers for dr in range(-4, 5) for dt in range(-2, 4)]
 
 
@@ -607,18 +611,49 @@ _PEAK_CABLES = st.one_of(
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_PEAK_CABLES)
 def test_peaks_and_common_reachable_match_oracles(cable):
-    # The peaks share one tb and are sorted by rot, which is what lets
-    # quotient_transverse read the two ends and common_reachable bisect.
+    # The peak rots ascend strictly, which is what lets quotient_transverse
+    # read the two ends and common_reachable bisect.
     knot, r, s = cable
     assume(r != 0 and gcd(abs(r), s) == 1 and not (s == 1 and r < knot.width))
     cls = classify(CableSpec(knot, r, s))
-    peaks = cls.peaks
-    rots = [p.rot for p in peaks]
+    rots = list(cls.peak_rots)
     assert all(a < b for a, b in zip(rots, rots[1:])), cls.cable
-    assert {p.tb for p in peaks} == {cls.tb_max}, cls.cable
-    assert cls.peak_ends == (peaks[0], peaks[-1])
+    assert {g.tb for g in cls.generators[:len(rots)]} == {cls.tb_max}, cls.cable
     if cls.region.kind != LOW_RANGE:
         assert rots == _sorted_peak_rots(r, s, -(-r // s), knot.width), cls.cable
     for rot, tb in _probe_points(cls):
         assert common_reachable(cls, rot, tb) == _scanned_common_reachable(cls, rot, tb), (
             cls.cable, rot, tb)
+
+
+def _listed_generators(cls):
+    # The eager construction classify used before it kept the peaks as
+    # rots: one Generator per peak, at the tb and the rots computed here
+    # from the cable, then the branches.  The oracle of generators.
+    cable = cls.cable
+    r, s, w = cable.r, cable.s, cable.knot.width
+    if cls.region.kind == LOW_RANGE:
+        peaks = [Generator(PEAK, tb=bennequin_bound(cable), rot=0)]
+    else:
+        peaks = [Generator(PEAK, r * s, rot) for rot in _sorted_peak_rots(r, s, -(-r // s), w)]
+    return [*peaks, *cls.branches]
+
+
+# Trefoil cables in the bands n = s // r from 1 to 50, which carry up to 49
+# protected_l pairs.
+_TREFOIL_BANDS = st.integers(1, 12).flatmap(
+    lambda r: st.tuples(st.just(T23), st.just(r), st.integers(r + 1, 51 * r - 1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(_WIDE_CABLES, _TREFOIL_BANDS))
+@example((T23, 1, 50))
+@example((T23, 3, 152))
+def test_generators_match_listed_generators(cable):
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1)
+    cls = classify(CableSpec(knot, r, s))
+    got, want = cls.generators, _listed_generators(cls)
+    assert len(got) == len(want), cls.cable
+    for g, h in zip(got, want):
+        assert type(g) is Generator and tuple(g) == tuple(h), (cls.cable, g, h)
