@@ -136,34 +136,45 @@ def _mountain_payload(cable, mr) -> dict:
         "cable": _cable_payload(cable),
         "tb_floor": mr.tb_floor,
         "tb_max": mr.tb_max,
-        "counts": [
-            {"rot": rot, "tb": tb, "count": mr.counts[(rot, tb)]}
-            for rot, tb in sorted(mr.counts, key=lambda pt: (-pt[1], pt[0]))
+        "counts": [  # top row first, each row in ascending rot
+            {"rot": rot, "tb": tb, "count": n}
+            for tb, row in zip(range(mr.tb_max, mr.tb_floor - 1, -1), reversed(mr.runs))
+            for start, stop, n in row
+            for rot in range(start, stop, 2)
         ],
     }
 
 
-_GLYPHS = ".123456789abcdefghijklmnopqrstuvwxyz*"  # indexed by min(count, 36)
+_GLYPHS = b".123456789abcdefghijklmnopqrstuvwxyz*"  # indexed by min(count, 36)
 
 
 def render_mountain(mr) -> str:
     """ASCII grid: tb rows descending, one column per rot in the populated
     span, digits (letters from ten up, ``*`` from 36) at populated cells and
-    dots elsewhere."""
-    counts = mr.counts
-    if not counts:
+    dots elsewhere.
+
+    Every column is ``colw`` characters wide, its glyph last.  A row starts
+    as all dots, and each run of ``mr.runs`` writes its glyph into every
+    second column from its start to its stop with one slice assignment, so
+    a row costs one step per run, not per cell."""
+    runs = [row for row in mr.runs if row]
+    if not runs:
         raise ValueError("empty mountain range")
-    lo, hi = min(counts)[0], max(counts)[0]  # keys are (rot, tb)
+    lo = min(row[0][0] for row in runs)
+    hi = max(row[-1][1] for row in runs) - 2  # a run's stop is one step past its last rot
     # The widest label of a range of integers sits at one of its ends.
     colw = max(len(str(lo)), len(str(hi))) + 1
     gutter = max(len(str(mr.tb_floor)), len(str(mr.tb_max)))
-    rows = [["."] * (hi - lo + 1) for _ in range(mr.tb_floor, mr.tb_max + 1)]  # from tb_max down
-    for (rot, tb), n in counts.items():
-        rows[mr.tb_max - tb][rot - lo] = _GLYPHS[min(n, 36)]
-    pad = " " * (colw - 1)  # every glyph is one character wide
-    lines = [" " * gutter + "".join(str(rot).rjust(colw) for rot in range(lo, hi + 1))]
-    lines += [str(mr.tb_max - i).rjust(gutter) + pad + pad.join(row) for i, row in enumerate(rows)]
-    return "\n".join(lines)
+    lines = [(" " * gutter + "".join(str(rot).rjust(colw) for rot in range(lo, hi + 1))).encode()]
+    dots = (b" " * (colw - 1) + b".") * (hi - lo + 1)
+    at = gutter + colw - 1 - lo * colw  # the glyph of rot sits at at + rot * colw
+    for tb, row in zip(range(mr.tb_max, mr.tb_floor - 1, -1), reversed(mr.runs)):
+        line = bytearray(str(tb).rjust(gutter).encode() + dots)
+        for start, stop, n in row:
+            glyph, cells = min(n, 36), (stop - start) // 2
+            line[at + start * colw:at + stop * colw:2 * colw] = _GLYPHS[glyph:glyph + 1] * cells
+        lines.append(line)
+    return b"\n".join(lines).decode()
 
 
 def _knot(spec) -> dict:

@@ -25,7 +25,9 @@ objects only for the callers that list every generator.
 range is the set of lattice points its words reach.  ``classes_at`` is the
 solved form of that lattice at one point; ``mountain_range`` builds each
 row from the same solved form as a union of parity-stepped intervals, so
-its work grows with the rows and the cells, not with the words.
+its work grows with the rows and the cells, not with the words.  It keeps
+each row as its runs of equal count, ``MountainRange.runs``, next to the
+per-cell ``counts``, so the renderer and the JSON report walk the runs.
 ``destabilizes`` reads from the same solved form whether a class has a
 predecessor one level up.  No function here applies ``stabilize``: the
 tests keep the flood of ``stabilize`` and ``classes_at`` as the oracles of
@@ -435,6 +437,13 @@ def destabilizes(cls: Classification, klass) -> bool:
 class MountainRange:
     """Class counts per (rot, tb) lattice point, down to a tb floor.
 
+    ``runs`` holds the same counts by row: one tuple per tb from
+    ``tb_floor`` up to ``tb_max``, each a tuple of runs ``(rot_start,
+    rot_stop, count)`` in ascending rot, disjoint and non-empty, every run
+    covering ``range(rot_start, rot_stop, 2)`` with one nonzero count.
+    ``counts`` expands them into one entry per cell, keyed in (tb, rot)
+    ascending order.
+
     Compared by identity: ``counts`` is a dict, and no caller compares two
     ranges by value.
     """
@@ -442,6 +451,7 @@ class MountainRange:
     tb_floor: int
     tb_max: int
     counts: dict
+    runs: tuple
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -459,14 +469,16 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     their lower ends, which is the order of ``rot - tb`` at every row.  A
     branch ``g`` at depth ``d = g.tb - tb`` adds one class on every second
     rot from ``g.rot - sign*d`` to ``g.rot + sign*(2*min(bound, d) - d)``.
-    One sweep over the interval edges writes each run of equal count, and
-    ``counts`` is keyed in (tb, rot) ascending order.
+    One sweep over the interval edges yields each row's runs of equal
+    count, kept as ``runs`` and expanded into ``counts``, which is keyed in
+    (tb, rot) ascending order.
     """
     if tb_floor > cls.tb_max:
         raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {cls.tb_max}")
     branches = cls.branches
     apexes = sorted(_common_apexes(cls, cls.peak_rots), key=lambda a: a[0] - a[1])
     counts = {}
+    runs = []
     for tb in range(tb_floor, cls.tb_max + 1):
         edges = []
         lo = hi = None
@@ -489,13 +501,16 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
             ends = (g.rot - g.sign * d, g.rot + g.sign * (2 * min(g.bound, d) - d))
             edges += ((min(ends), 1), (max(ends) + 2, -1))
         edges.sort()
+        row = []
         n = 0
         for rot, step in edges:
-            if n:
+            if n and rot > start:
+                row.append((start, rot, n))
                 counts.update(zip(zip(range(start, rot, 2), repeat(tb)), repeat(n)))
             n += step
             start = rot
-    return MountainRange(tb_floor=tb_floor, tb_max=cls.tb_max, counts=counts)
+        runs.append(tuple(row))
+    return MountainRange(tb_floor=tb_floor, tb_max=cls.tb_max, counts=counts, runs=tuple(runs))
 
 
 # -- invariants of curves on convex tori -------------------------------------

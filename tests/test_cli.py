@@ -6,10 +6,11 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torus_cables import bypass, cli, transverse
@@ -18,6 +19,7 @@ from torus_cables.legendrian import CableSpec, classify, mountain_range
 from torus_cables.torus_knots import TorusKnotSpec
 
 from conftest import reduced_pairs
+from test_legendrian import _WIDE_CABLES
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text(encoding="utf-8"))
@@ -193,6 +195,40 @@ def test_render_mountain_matches_per_cell_reference():
         tops.append(max(mr.counts.values()))
     # T(2,3)_(2,25) reaches the letters (counts 10 to 35), T(2,3)_(2,81) "*" (36 up).
     assert 10 <= tops[-2] < 36 <= tops[-1]
+
+
+def _sorted_payload(cable, mr):
+    # The sort-based payload _mountain_payload replaced: the reference for its bytes.
+    return {
+        "cable": cli._cable_payload(cable),
+        "tb_floor": mr.tb_floor,
+        "tb_max": mr.tb_max,
+        "counts": [
+            {"rot": rot, "tb": tb, "count": mr.counts[(rot, tb)]}
+            for rot, tb in sorted(mr.counts, key=lambda pt: (-pt[1], pt[0]))
+        ],
+    }
+
+
+def _assert_mountain_reports_match_references(cable, depth):
+    cls = classify(cable)
+    mr = mountain_range(cls, cls.tb_max - depth)
+    assert render_mountain(mr) == _render_by_cell(mr), (cable, depth)
+    got = cli._dump(cli._mountain_payload(cable, mr))
+    assert got == cli._dump(_sorted_payload(cable, mr)), (cable, depth)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_WIDE_CABLES, st.integers(0, 40))
+def test_mountain_reports_match_references_on_wide_knots(cable, depth):
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1)
+    _assert_mountain_reports_match_references(CableSpec(knot, r, s), depth)
+
+
+def test_mountain_reports_match_references_on_a_wide_cable():
+    # T(11,13)_(101,97): 36,615 cells in 2,850 runs, at most 236 on a row, across 22,925 rots.
+    _assert_mountain_reports_match_references(CableSpec(TorusKnotSpec(11, 13), 101, 97), 20)
 
 
 def test_transverse_text():

@@ -34,6 +34,7 @@ from torus_cables.torus_knots import (
     TREFOIL_BAND,
     TorusKnotSpec,
     locate,
+    tori_census,
 )
 from torus_cables.transverse import classify_transverse
 
@@ -493,6 +494,78 @@ def test_mountain_counts_keep_tb_then_rot_order():
         assert cls.branches
         mr = mountain_range(cls, cls.tb_max - 12)
         assert list(mr.counts) == sorted(mr.counts, key=lambda pt: (pt[1], pt[0]))
+
+
+def _assert_runs_are_the_cells(mr):
+    # runs holds one row per tb from the floor up; a row's runs are
+    # non-empty, ascending and disjoint, each a nonzero count on every
+    # second rot of [start, stop).  Expanded, they are counts: the same
+    # keys, the same values and the same (tb, rot) key order.
+    assert len(mr.runs) == mr.tb_max - mr.tb_floor + 1
+    expanded = {}
+    for tb, row in zip(range(mr.tb_floor, mr.tb_max + 1), mr.runs):
+        end = None
+        for start, stop, n in row:
+            assert end is None or end <= start, (tb, row)
+            assert stop - start > 0 and (stop - start) % 2 == 0 and n >= 1, (tb, row)
+            end = stop
+            expanded.update(((rot, tb), n) for rot in range(start, stop, 2))
+    assert list(expanded.items()) == list(mr.counts.items())
+
+
+def test_runs_are_the_cells_on_grid_and_low_floors():
+    # Criterion 7a's grid at its depth of 40, and every floor from three
+    # below the lowest head up to tb_max of the cables whose floors cut
+    # between the top and a lower protected head: T(2,5)_(8,9)
+    # (influence_lower) and T(2,3)_(7,11) (protected_k at rs - delta).
+    for spec in (T25, T34):
+        for r, s in reduced_pairs(10):
+            if not (s == 1 and r < spec.width):
+                cls = classify(CableSpec(spec, r, s))
+                _assert_runs_are_the_cells(mountain_range(cls, cls.tb_max - 40))
+    for cable in (CableSpec(T25, 8, 9), CableSpec(T23, 7, 11)):
+        cls = classify(cable)
+        lowest_head = min(g.tb for g in cls.branches)
+        assert lowest_head < cls.tb_max - 1, cable
+        for floor in range(lowest_head - 3, cls.tb_max + 1):
+            _assert_runs_are_the_cells(mountain_range(cls, floor))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_WIDE_CABLES, st.integers(0, 40))
+def test_runs_are_the_cells_on_wide_knots(cable, depth):
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1)
+    cls = classify(CableSpec(knot, r, s))
+    _assert_runs_are_the_cells(mountain_range(cls, cls.tb_max - depth))
+
+
+def test_one_peak_per_standard_solid_torus():
+    # Cross-layer check of the census against classify: every standard
+    # solid torus at the cable slope carries one maximal-tb peak.  The s = 1
+    # cables with r < w, the slopes -1/t among them, are outside classify;
+    # of the rest the census refuses the trefoil's (0, 1] and the slopes
+    # below 1/w, and every cable it accepts is checked, in all six regions.
+    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5),
+             TorusKnotSpec(5, 7)]
+    checked = refused = 0
+    regions = Counter()
+    for spec in knots:
+        for r, s in reduced_pairs(40):
+            if s >= 25 or (s == 1 and r < spec.width):
+                continue
+            cable = CableSpec(spec, r, s)
+            try:
+                record = tori_census(spec, cable.slope)
+            except ValueError:
+                refused += 1
+                continue
+            cls = classify(cable)
+            assert record.standard_count == len(cls.peak_rots), cable
+            checked += 1
+            regions[cls.region.kind] += 1
+    assert (checked, refused) == (7074, 900)
+    assert len(regions) == 6, regions
 
 
 def test_generator_parity_everywhere():
