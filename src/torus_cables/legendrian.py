@@ -25,9 +25,13 @@ objects only for the callers that list every generator.
 range is the set of lattice points its words reach.  ``classes_at`` is the
 solved form of that lattice at one point; ``mountain_range`` builds each
 row from the same solved form as a union of parity-stepped intervals, so
-its work grows with the rows and the cells, not with the words.  It keeps
-each row as its runs of equal count, ``MountainRange.runs``, next to the
-per-cell ``counts``, so the renderer and the JSON report walk the runs.
+its work grows with the rows and the cells, not with the words.  The cones
+of two neighboring peaks merge once the depth reaches half their gap less
+one, so each row takes the peak intervals between the splits whose gap is
+still open, and a row costs its intervals and branches, not every peak.
+It keeps each row as its runs of equal count, ``MountainRange.runs``, and
+stores every cell of a run into the per-cell ``counts`` with one subscript,
+so the renderer and the JSON report walk the runs.
 ``destabilizes`` reads from the same solved form whether a class has a
 predecessor one level up.  No function here applies ``stabilize``: the
 tests keep the flood of ``stabilize`` and ``classes_at`` as the oracles of
@@ -42,8 +46,8 @@ additionally carry one protected pair per integer band below the slope.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
 from math import gcd, inf
+from operator import sub
 
 from .farey import Slope, frozen, intersect, normalize
 from .torus_knots import (
@@ -240,6 +244,13 @@ def _peak_rots(r: int, s: int, k: int, w: int):
     is one progression.  Otherwise they share no term, and the merge is
     linear: the lower terms below the upper start come first, then the two
     alternate, and the upper terms past the lower stop come last.
+
+    With ``k = ceil(r/s)``, as :func:`classify` passes it, ``0 <= |r - s*k|
+    < s``: the upper progression starts less than one step above the lower
+    one, so the two interleave term by term, and consecutive rots differ by
+    ``2|r - s*k|`` and ``2s - 2|r - s*k|`` in turn, or by ``2s`` throughout
+    when they coincide.  The gaps take at most two values, which keeps
+    :func:`mountain_range`'s grouping of the peaks by gap to two groups.
     """
     step, count = 2 * s, max(w - k + 1, 0)
     half = abs(r - s * k)
@@ -465,33 +476,52 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     """All nonzero class counts with tb between the floor and the maximum.
 
     Each row is built from the solved form.  The common class covers the
-    union of the apex cones ``[rot - d, rot + d]``, merged in the order of
-    their lower ends, which is the order of ``rot - tb`` at every row.  A
-    branch ``g`` at depth ``d = g.tb - tb`` adds one class on every second
-    rot from ``g.rot - sign*d`` to ``g.rot + sign*(2*min(bound, d) - d)``.
-    One sweep over the interval edges yields each row's runs of equal
-    count, kept as ``runs`` and expanded into ``counts``, which is keyed in
-    (tb, rot) ascending order.
+    union of the apex cones ``[rot - d, rot + d]`` at depth ``d = apex_tb -
+    tb``.  The peaks all sit at ``tb_max``, so the cones of two consecutive
+    peaks merge exactly when their gap is at most ``2d + 2``: the split
+    positions between peaks are grouped by gap once, and each row takes the
+    peak intervals between the splits whose gap is still wider than that.
+    Any gaps give the right rows; the peak family has at most two (see
+    :func:`_peak_rots`), so a call rebuilds its peak intervals at most
+    twice.  The branch collapse heads, sorted once by ``rot - tb``, the order of
+    their cones' lower ends at every row, are merged into those intervals in
+    one linear pass.  A branch ``g`` at depth ``d = g.tb - tb`` adds one
+    class on every second rot from ``g.rot - sign*d`` to ``g.rot +
+    sign*(2*min(bound, d) - d)``.  One sweep over the interval edges yields
+    each row's runs of equal count, kept as ``runs`` and stored cell by cell
+    into ``counts``, which is keyed in (tb, rot) ascending order.  A row
+    costs O(intervals + branches) besides its cells, not O(peaks).
     """
-    if tb_floor > cls.tb_max:
-        raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {cls.tb_max}")
-    branches = cls.branches
-    apexes = sorted(_common_apexes(cls, cls.peak_rots), key=lambda a: a[0] - a[1])
+    tb_max = cls.tb_max
+    if tb_floor > tb_max:
+        raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {tb_max}")
+    rots, branches = cls.peak_rots, cls.branches
+    splits = {}  # gap -> the positions i, ascending, with rots[i + 1] - rots[i] == gap
+    for i, gap in enumerate(map(sub, rots[1:], rots)):
+        splits.setdefault(gap, []).append(i)
+    merged_gaps = sorted(splits)  # the gaps still merged, the widest last
+    opened = []  # the open split positions, ascending
+    peaks = [(rots[0], rots[-1])] if rots else []  # the end rots of each merged run of peaks
+    heads = sorted(_common_apexes(cls, ()), key=lambda a: a[0] - a[1])
     counts = {}
     runs = []
-    for tb in range(tb_floor, cls.tb_max + 1):
+    for tb in range(tb_floor, tb_max + 1):
+        d = tb_max - tb
+        while merged_gaps and merged_gaps[-1] > 2 * d + 2:
+            opened = sorted(opened + splits[merged_gaps.pop()])
+            peaks = list(zip([rots[0]] + [rots[i + 1] for i in opened],
+                             [rots[i] for i in opened] + [rots[-1]]))
+        cones = [(lo - d, hi + d) for lo, hi in peaks]
+        live = [(rot - apex_tb + tb, rot + apex_tb - tb) for rot, apex_tb in heads if apex_tb >= tb]
         edges = []
         lo = hi = None
-        for apex_rot, apex_tb in apexes:
-            d = apex_tb - tb
-            if d < 0:
-                continue
-            if hi is not None and apex_rot - d <= hi + 2:
-                hi = max(hi, apex_rot + d)
+        for cone_lo, cone_hi in sorted(cones + live):  # two sorted runs: one linear merge
+            if hi is not None and cone_lo <= hi + 2:
+                hi = max(hi, cone_hi)
                 continue
             if hi is not None:
                 edges += ((lo, 1), (hi + 2, -1))
-            lo, hi = apex_rot - d, apex_rot + d
+            lo, hi = cone_lo, cone_hi
         if hi is not None:
             edges += ((lo, 1), (hi + 2, -1))
         for g in branches:
@@ -506,11 +536,12 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
         for rot, step in edges:
             if n and rot > start:
                 row.append((start, rot, n))
-                counts.update(zip(zip(range(start, rot, 2), repeat(tb)), repeat(n)))
+                for cell in range(start, rot, 2):
+                    counts[cell, tb] = n
             n += step
             start = rot
         runs.append(tuple(row))
-    return MountainRange(tb_floor=tb_floor, tb_max=cls.tb_max, counts=counts, runs=tuple(runs))
+    return MountainRange(tb_floor=tb_floor, tb_max=tb_max, counts=counts, runs=tuple(runs))
 
 
 # -- invariants of curves on convex tori -------------------------------------

@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
 import pytest
@@ -540,19 +541,95 @@ def test_runs_are_the_cells_on_wide_knots(cable, depth):
     _assert_runs_are_the_cells(mountain_range(cls, cls.tb_max - depth))
 
 
-def test_one_peak_per_standard_solid_torus():
+def _apex_scan_mountain_range(cls, tb_floor):
+    # The sweep mountain_range used before the gap rule: every row scans
+    # every apex, the peaks and the branch collapse heads sorted by rot - tb,
+    # merging each cone into the last interval when it reaches it.  The
+    # oracle of the gap rule's runs and counts, their order included.
+    branches = cls.branches
+    apexes = sorted(_common_apexes(cls, cls.peak_rots), key=lambda a: a[0] - a[1])
+    counts = {}
+    runs = []
+    for tb in range(tb_floor, cls.tb_max + 1):
+        edges = []
+        lo = hi = None
+        for apex_rot, apex_tb in apexes:
+            d = apex_tb - tb
+            if d < 0:
+                continue
+            if hi is not None and apex_rot - d <= hi + 2:
+                hi = max(hi, apex_rot + d)
+                continue
+            if hi is not None:
+                edges += ((lo, 1), (hi + 2, -1))
+            lo, hi = apex_rot - d, apex_rot + d
+        if hi is not None:
+            edges += ((lo, 1), (hi + 2, -1))
+        for g in branches:
+            d = g.tb - tb
+            if d < 0:
+                continue
+            ends = (g.rot - g.sign * d, g.rot + g.sign * (2 * min(g.bound, d) - d))
+            edges += ((min(ends), 1), (max(ends) + 2, -1))
+        edges.sort()
+        row = []
+        n = 0
+        for rot, step in edges:
+            if n and rot > start:
+                row.append((start, rot, n))
+                counts.update(zip(zip(range(start, rot, 2), repeat(tb)), repeat(n)))
+            n += step
+            start = rot
+        runs.append(tuple(row))
+    return counts, tuple(runs)
+
+
+def _assert_matches_apex_scan(cls, tb_floor):
+    mr = mountain_range(cls, tb_floor)
+    counts, runs = _apex_scan_mountain_range(cls, tb_floor)
+    assert mr.runs == runs, (cls.cable, tb_floor)
+    assert list(mr.counts.items()) == list(counts.items()), (cls.cable, tb_floor)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_WIDE_CABLES, st.integers(0, 30))
+def test_mountain_range_matches_apex_scan_on_wide_knots(cable, depth):
+    knot, r, s = cable
+    assume(r != 0 and gcd(abs(r), s) == 1)
+    cls = classify(CableSpec(knot, r, s))
+    _assert_matches_apex_scan(cls, cls.tb_max - depth)
+
+
+def test_mountain_range_matches_apex_scan_on_grid_and_many_peaks():
+    # Criterion 7a's grid at depth 15, and four cables with many peaks or
+    # many branches at depths 0, 1, s - 2, s - 1, s and 20.  The peak gaps
+    # 2|r - s*k| and 2s - 2|r - s*k| are both below 2s, so the gap rule has
+    # merged every split by depth s - 1; the rows nearer the top keep some open.
+    for spec in (T25, T34):
+        for r, s in reduced_pairs(10):
+            if not (s == 1 and r < spec.width):
+                cls = classify(CableSpec(spec, r, s))
+                _assert_matches_apex_scan(cls, cls.tb_max - 15)
+    cables = [CableSpec(TorusKnotSpec(71, 73), 7, 3), CableSpec(TorusKnotSpec(31, 33), -150, 7),
+              CableSpec(TorusKnotSpec(11, 13), 101, 97), CableSpec(T23, 3, 152)]
+    for cable in cables:
+        cls = classify(cable)
+        s = cable.s
+        for depth in (0, 1, s - 2, s - 1, s, 20):
+            _assert_matches_apex_scan(cls, cls.tb_max - depth)
+
+
+def _one_peak_per_standard_solid_torus(knots, s_min, s_max):
     # Cross-layer check of the census against classify: every standard
-    # solid torus at the cable slope carries one maximal-tb peak.  The s = 1
-    # cables with r < w, the slopes -1/t among them, are outside classify;
-    # of the rest the census refuses the trefoil's (0, 1] and the slopes
-    # below 1/w, and every cable it accepts is checked, in all six regions.
-    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5),
-             TorusKnotSpec(5, 7)]
+    # solid torus at the cable slope carries one maximal-tb peak.  Checks
+    # each cable with |r| <= 40 and s_min <= s <= s_max that classify and
+    # the census both accept; returns the cables checked, the cables the
+    # census refused and the regions of the checked ones.
     checked = refused = 0
     regions = Counter()
     for spec in knots:
         for r, s in reduced_pairs(40):
-            if s >= 25 or (s == 1 and r < spec.width):
+            if not s_min <= s <= s_max or (s == 1 and r < spec.width):
                 continue
             cable = CableSpec(spec, r, s)
             try:
@@ -564,8 +641,29 @@ def test_one_peak_per_standard_solid_torus():
             assert record.standard_count == len(cls.peak_rots), cable
             checked += 1
             regions[cls.region.kind] += 1
+    return checked, refused, regions
+
+
+def test_one_peak_per_standard_solid_torus():
+    # The s = 1 cables with r < w, the slopes -1/t among them, are outside
+    # classify; of the rest the census refuses the trefoil's (0, 1] and the
+    # slopes below 1/w, and every cable it accepts is checked, in all six
+    # regions.
+    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5),
+             TorusKnotSpec(5, 7)]
+    checked, refused, regions = _one_peak_per_standard_solid_torus(knots, 1, 24)
     assert (checked, refused) == (7074, 900)
     assert len(regions) == 6, regions
+
+
+def test_one_peak_per_standard_solid_torus_on_wide_knots():
+    # The wide family's box, 2 <= s <= 24: every region but the low range,
+    # which needs s/r <= 1/w, and many peaks per cable on the near-diagonal
+    # knots.
+    checked, refused, regions = _one_peak_per_standard_solid_torus(_WIDE_KNOTS, 2, 24)
+    assert (checked, refused) == (43447, 793)
+    assert regions == {"negative": 22120, "simple_mid": 16968, "influence_upper": 2420,
+                       "influence_lower": 1760, "trefoil_band": 179}, regions
 
 
 def test_generator_parity_everywhere():
@@ -691,6 +789,9 @@ def test_peaks_and_common_reachable_match_oracles(cable):
     cls = classify(CableSpec(knot, r, s))
     rots = list(cls.peak_rots)
     assert all(a < b for a, b in zip(rots, rots[1:])), cls.cable
+    # The two progressions alternate, so mountain_range's gap rule opens
+    # and merges the splits between peaks in at most two groups.
+    assert len({b - a for a, b in zip(rots, rots[1:])}) <= 2, cls.cable
     assert {g.tb for g in cls.generators[:len(rots)]} == {cls.tb_max}, cls.cable
     if cls.region.kind != LOW_RANGE:
         assert rots == _sorted_peak_rots(r, s, -(-r // s), knot.width), cls.cable
