@@ -165,7 +165,7 @@ def render_mountain(mr) -> str:
     # The widest label of a range of integers sits at one of its ends.
     colw = max(len(str(lo)), len(str(hi))) + 1
     gutter = max(len(str(mr.tb_floor)), len(str(mr.tb_max)))
-    lines = [(" " * gutter + "".join(str(rot).rjust(colw) for rot in range(lo, hi + 1))).encode()]
+    lines = [(" " * gutter + (f"%{colw}d" * (hi - lo + 1)) % tuple(range(lo, hi + 1))).encode()]
     dots = (b" " * (colw - 1) + b".") * (hi - lo + 1)
     at = gutter + colw - 1 - lo * colw  # the glyph of rot sits at at + rot * colw
     for tb, row in zip(range(mr.tb_max, mr.tb_floor - 1, -1), reversed(mr.runs)):

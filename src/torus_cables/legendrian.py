@@ -16,6 +16,13 @@ Every Legendrian class is therefore either ``Common(rot, tb)`` or
 ``Branch(generator, x, y)`` with ``tb = tb_g - x - y`` and
 ``rot = rot_g + sign_g*(x - y)``.
 
+The common class lives exactly on the union of the peaks' downward cones,
+the points ``(rot, tb)`` with ``|rot - peak| <= tb_max - tb``.  A collapse
+never adds a point to it: every protected head lies in some peak's cone,
+and the point a branch collapses onto lies in its head's own cone, which
+nests in that peak's (the reasons, region by region, are on
+:class:`Classification`).
+
 The peaks all sit at ``tb_max``, so a :class:`Classification` stores them as
 their rots alone, ``peak_rots``, next to its protected ``branches``; the
 queries read those two, and ``generators`` builds the peak ``Generator``
@@ -180,7 +187,30 @@ class Parameters:
 @frozen
 class Classification:
     """A cable's classification: the rots of its peaks, strictly ascending
-    and every peak at ``tb_max``, and its protected branches."""
+    and every peak at ``tb_max``, and its protected branches.
+
+    Every protected head lies in the downward cone of some peak,
+    ``|g.rot - peak| <= tb_max - g.tb``, so the common class is the union
+    of the peak cones alone.  Only the trefoil bands and the two intervals
+    of influence carry branches, and there ``tb_max = r*s``; ``w`` is the
+    knot's width and ``n`` the region's index:
+
+    * trefoil band, ``protected_l``: ``w = 1`` and ``k = 1``, so the peaks
+      are ``+/-(s - r)``, and each head is one of them;
+    * trefoil band, ``protected_k``: ``|r*n - (s - r)| = delta = tb_max -
+      tb``, so each head sits on the edge of the cone of the peak at
+      ``+/-(s - r)``;
+    * ``influence_upper``: the head's rot ``+/-(s*w - r)`` is the extreme
+      peak rot, and its tb is ``tb_max``;
+    * ``influence_lower``: ``|r*(n-1) - (s*w - r)| = r*n - s*w =
+      pair_center = tb_max - tb``, so each head sits on the edge of the
+      extreme peak's cone.
+
+    A branch first collapses from ``S_sign^bound`` of its head onto
+    ``(rot + sign*(bound + 1), tb - bound - 1)``, on the edge of the head's
+    cone, and every later collapse lands lower in that cone; the head's
+    cone nests in the peak's.
+    """
 
     cable: CableSpec
     region: Region
@@ -350,34 +380,21 @@ def classify(cable: CableSpec) -> Classification:
 
 # -- the class model --------------------------------------------------------
 
-def _common_apexes(cls: Classification, peak_rots):
-    """The apexes ``(rot, tb)`` of the common class's downward cones: each
-    given peak rot at ``tb_max``, and each protected branch's first-collapse
-    point."""
-    for rot in peak_rots:
-        yield rot, cls.tb_max
-    for g in cls.branches:
-        yield g.rot + g.sign * (g.bound + 1), g.tb - g.bound - 1
-
-
 def common_reachable(cls: Classification, rot: int, tb: int) -> bool:
     """Whether the merged simple-family class exists at the lattice point.
 
-    The common class lives on the union of the downward cones of the peaks
-    and of the first-collapse points of the protected branches.  The peaks
-    all sit at ``tb_max`` and ``peak_rots`` ascends, so of all the peak cones
-    the widest at ``rot`` belongs to the nearest peak on one side or the
-    other: a bisection of ``peak_rots`` finds those two, and each branch's
-    cone is checked on its own, in O(log w + branches).
+    The common class lives on the union of the peaks' downward cones: every
+    protected head, and so every point a branch collapses from, already lies
+    in one of them (see :class:`Classification`).  The peaks all sit at
+    ``tb_max`` and ``peak_rots`` ascends, so of all the peak cones the widest
+    at ``rot`` belongs to the nearest peak on one side or the other: a
+    bisection of ``peak_rots`` finds those two, in O(log w).
     """
     if (rot + tb) % 2 == 0:
         return False
     rots = cls.peak_rots
     i = bisect_left(rots, rot)
-    return any(
-        tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb
-        for apex_rot, apex_tb in _common_apexes(cls, rots[max(i - 1, 0):i + 1])
-    )
+    return any(abs(rot - peak) <= cls.tb_max - tb for peak in rots[max(i - 1, 0):i + 1])
 
 
 def classes_at(cls: Classification, rot: int, tb: int) -> list:
@@ -433,15 +450,17 @@ def destabilizes(cls: Classification, klass) -> bool:
     ``klass`` is a class of ``cls``, as :func:`classes_at` returns it.  A
     ``Branch(g, x, y)`` destabilizes exactly when ``x + y > 0``: its
     predecessor ``Branch(g, x - 1, y)`` or ``Branch(g, x, y - 1)`` exists one
-    level up, and nothing stabilizes onto a head.  A ``Common`` destabilizes
-    exactly when the common class lives at ``(rot - 1, tb + 1)`` or
-    ``(rot + 1, tb + 1)``.  A branch collapsing onto it needs no term of its
-    own: every protected head lies in a peak's downward cone, so the common
-    class already lives at the point the collapse starts from.
+    level up, and nothing stabilizes onto a head.  A ``Common`` lives in
+    a peak's downward cone, and below ``tb_max`` its upper neighbor toward
+    that peak lies in the cone too; only the point one level straight
+    under a peak would lack one, and parity puts no class there.  So it
+    destabilizes exactly when ``tb < tb_max``.  A branch collapsing onto it
+    needs no term of its own, since the common class is the union of the
+    peak cones (see :class:`Classification`).
     """
     if isinstance(klass, Branch):
         return klass.x + klass.y > 0
-    return any(common_reachable(cls, klass.rot + sign, klass.tb + 1) for sign in (1, -1))
+    return klass.tb < cls.tb_max
 
 
 @frozen
@@ -476,17 +495,16 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     """All nonzero class counts with tb between the floor and the maximum.
 
     Each row is built from the solved form.  The common class covers the
-    union of the apex cones ``[rot - d, rot + d]`` at depth ``d = apex_tb -
-    tb``.  The peaks all sit at ``tb_max``, so the cones of two consecutive
-    peaks merge exactly when their gap is at most ``2d + 2``: the split
-    positions between peaks are grouped by gap once, and each row takes the
-    peak intervals between the splits whose gap is still wider than that.
-    Any gaps give the right rows; the peak family has at most two (see
+    union of the peak cones ``[rot - d, rot + d]`` at depth ``d = tb_max -
+    tb`` (see :class:`Classification`).  The cones of two consecutive peaks
+    merge exactly when their gap is at most ``2d + 2``: the split positions
+    between peaks are grouped by gap once, and each row takes the peak
+    intervals between the splits whose gap is still wider than that.  Any
+    gaps give the right rows; the peak family has at most two (see
     :func:`_peak_rots`), so a call rebuilds its peak intervals at most
-    twice.  The branch collapse heads, sorted once by ``rot - tb``, the order of
-    their cones' lower ends at every row, are merged into those intervals in
-    one linear pass.  A branch ``g`` at depth ``d = g.tb - tb`` adds one
-    class on every second rot from ``g.rot - sign*d`` to ``g.rot +
+    twice.  Those intervals are disjoint and more than 2 apart, so each
+    gives one pair of edges.  A branch ``g`` at depth ``d = g.tb - tb`` adds
+    one class on every second rot from ``g.rot - sign*d`` to ``g.rot +
     sign*(2*min(bound, d) - d)``.  One sweep over the interval edges yields
     each row's runs of equal count, kept as ``runs`` and stored cell by cell
     into ``counts``, which is keyed in (tb, rot) ascending order.  A row
@@ -502,7 +520,6 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     merged_gaps = sorted(splits)  # the gaps still merged, the widest last
     opened = []  # the open split positions, ascending
     peaks = [(rots[0], rots[-1])] if rots else []  # the end rots of each merged run of peaks
-    heads = sorted(_common_apexes(cls, ()), key=lambda a: a[0] - a[1])
     counts = {}
     runs = []
     for tb in range(tb_floor, tb_max + 1):
@@ -511,19 +528,9 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
             opened = sorted(opened + splits[merged_gaps.pop()])
             peaks = list(zip([rots[0]] + [rots[i + 1] for i in opened],
                              [rots[i] for i in opened] + [rots[-1]]))
-        cones = [(lo - d, hi + d) for lo, hi in peaks]
-        live = [(rot - apex_tb + tb, rot + apex_tb - tb) for rot, apex_tb in heads if apex_tb >= tb]
         edges = []
-        lo = hi = None
-        for cone_lo, cone_hi in sorted(cones + live):  # two sorted runs: one linear merge
-            if hi is not None and cone_lo <= hi + 2:
-                hi = max(hi, cone_hi)
-                continue
-            if hi is not None:
-                edges += ((lo, 1), (hi + 2, -1))
-            lo, hi = cone_lo, cone_hi
-        if hi is not None:
-            edges += ((lo, 1), (hi + 2, -1))
+        for lo, hi in peaks:
+            edges += ((lo - d, 1), (hi + d + 2, -1))
         for g in branches:
             d = g.tb - tb
             if d < 0:

@@ -12,9 +12,9 @@ from torus_cables.legendrian import (
     PEAK,
     Branch,
     CableSpec,
+    Classification,
     Common,
     Generator,
-    _common_apexes,
     _peak_rots,
     bennequin_bound,
     cable_rot,
@@ -319,9 +319,20 @@ def _searched_destabilizes(cls, klass):
     return False
 
 
+def _common_apexes(cls: Classification, peak_rots):
+    """The apexes ``(rot, tb)`` of the common class's downward cones: each
+    given peak rot at ``tb_max``, and each protected branch's first-collapse
+    point."""
+    for rot in peak_rots:
+        yield rot, cls.tb_max
+    for g in cls.branches:
+        yield g.rot + g.sign * (g.bound + 1), g.tb - g.bound - 1
+
+
 def _heads_in_peak_cones(cls):
-    # The invariant the Common rule of destabilizes rests on: every protected
-    # head lies in the downward cone of some peak.
+    # The invariant the common class's reading from the peaks alone rests on
+    # (common_reachable, destabilizes, mountain_range): every protected head
+    # lies in the downward cone of some peak.
     top = cls.tb_max
     return all(any(g.tb <= top and abs(g.rot - rot) <= top - g.tb for rot in cls.peak_rots)
                for g in cls.branches)
@@ -619,6 +630,40 @@ def test_mountain_range_matches_apex_scan_on_grid_and_many_peaks():
             _assert_matches_apex_scan(cls, cls.tb_max - depth)
 
 
+def test_oracles_catch_a_head_outside_every_peak_cone():
+    # mountain_range, common_reachable and destabilizes read the common
+    # class from the peak cones alone, which holds because every protected
+    # head lies in one (_heads_in_peak_cones).  The oracles still flood or
+    # scan the branch collapse heads, so they must catch a classification
+    # doctored to break that: its plus head, on the edge of the outermost
+    # peak's cone, moved 2 rot further out, parity kept.
+    for cable in (CableSpec(T25, 8, 9), CableSpec(T23, 7, 11)):
+        cls = classify(cable)
+        g = next(g for g in cls.branches if g.sign == 1)
+        moved = Generator(g.kind, g.tb, g.rot + 2, g.sign, g.index, g.bound, g.destabilizable)
+        doctored = Classification(cls.cable, cls.region, cls.parameters, cls.peak_rots,
+                                  tuple(moved if h == g else h for h in cls.branches))
+        depth = cls.tb_max - moved.tb
+        assert min(abs(moved.rot - rot) for rot in cls.peak_rots) == depth + 2, cable
+        assert _heads_in_peak_cones(cls) and not _heads_in_peak_cones(doctored), cable
+        floor = cls.tb_max - 15
+        flood = _flood_counts(doctored, floor)
+        mr = mountain_range(doctored, floor)
+        counts, runs = _apex_scan_mountain_range(doctored, floor)
+        assert mr.counts != flood, cable
+        assert mr.counts != counts and mr.runs != runs, cable
+        assert any(common_reachable(doctored, *pt) != _scanned_common_reachable(doctored, *pt)
+                   for pt in flood), cable
+        # The flood's classes: the branch classes classes_at lists, and the
+        # common class wherever the flood counts one more.
+        classes = []
+        for (rot, tb), n in flood.items():
+            branch = [c for c in classes_at(doctored, rot, tb) if isinstance(c, Branch)]
+            classes += branch + [Common(rot, tb)] * (n > len(branch))
+        assert any(destabilizes(doctored, c) != _searched_destabilizes(doctored, c)
+                   for c in classes), cable
+
+
 def _one_peak_per_standard_solid_torus(knots, s_min, s_max):
     # Cross-layer check of the census against classify: every standard
     # solid torus at the cable slope carries one maximal-tb peak.  Checks
@@ -639,6 +684,7 @@ def _one_peak_per_standard_solid_torus(knots, s_min, s_max):
                 continue
             cls = classify(cable)
             assert record.standard_count == len(cls.peak_rots), cable
+            assert _heads_in_peak_cones(cls), cable
             checked += 1
             regions[cls.region.kind] += 1
     return checked, refused, regions
@@ -795,6 +841,7 @@ def test_peaks_and_common_reachable_match_oracles(cable):
     assert {g.tb for g in cls.generators[:len(rots)]} == {cls.tb_max}, cls.cable
     if cls.region.kind != LOW_RANGE:
         assert rots == _sorted_peak_rots(r, s, -(-r // s), knot.width), cls.cable
+    assert _heads_in_peak_cones(cls), cls.cable
     for rot, tb in _probe_points(cls):
         assert common_reachable(cls, rot, tb) == _scanned_common_reachable(cls, rot, tb), (
             cls.cable, rot, tb)
@@ -827,6 +874,7 @@ def test_generators_match_listed_generators(cable):
     knot, r, s = cable
     assume(r != 0 and gcd(abs(r), s) == 1)
     cls = classify(CableSpec(knot, r, s))
+    assert _heads_in_peak_cones(cls), cls.cable
     got, want = cls.generators, _listed_generators(cls)
     assert len(got) == len(want), cls.cable
     for g, h in zip(got, want):
