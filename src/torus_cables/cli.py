@@ -156,12 +156,10 @@ def render_mountain(mr) -> str:
     Every column is ``colw`` characters wide, its glyph last.  A row starts
     as all dots, and each run of ``mr.runs`` writes its glyph into every
     second column from its start to its stop with one slice assignment, so
-    a row costs one step per run, not per cell."""
-    runs = [row for row in mr.runs if row]
-    if not runs:
-        raise ValueError("empty mountain range")
-    lo = min(row[0][0] for row in runs)
-    hi = max(row[-1][1] for row in runs) - 2  # a run's stop is one step past its last rot
+    a row costs one step per run, not per cell.  The floor row spans every
+    row (see ``MountainRange``), so the span is read from it alone."""
+    floor = mr.runs[0]
+    lo, hi = floor[0][0], floor[-1][1] - 2  # a run's stop is one step past its last rot
     # The widest label of a range of integers sits at one of its ends.
     colw = max(len(str(lo)), len(str(hi))) + 1
     gutter = max(len(str(mr.tb_floor)), len(str(mr.tb_max)))

@@ -32,13 +32,14 @@ objects only for the callers that list every generator.
 range is the set of lattice points its words reach.  ``classes_at`` is the
 solved form of that lattice at one point; ``mountain_range`` builds each
 row from the same solved form as a union of parity-stepped intervals, so
-its work grows with the rows and the cells, not with the words.  The cones
-of two neighboring peaks merge once the depth reaches half their gap less
-one, so each row takes the peak intervals between the splits whose gap is
-still open, and a row costs its intervals and branches, not every peak.
-It keeps each row as its runs of equal count, ``MountainRange.runs``, and
-stores every cell of a run into the per-cell ``counts`` with one subscript,
-so the renderer and the JSON report walk the runs.
+its work grows with the rows and the cells, not with the words.  The peaks
+are two interleaved progressions (see :func:`_peak_rots`), so their gaps
+take at most two values.  The cones of two neighboring peaks merge once the
+depth reaches half their gap less one, so each row takes the peak intervals
+between the splits whose gap is still open, and a row costs its intervals
+and branches, not every peak.  The sweep keeps each row as its runs of
+equal count, ``MountainRange.runs``, and the per-cell ``counts`` is
+expanded from the runs once the sweep is done; the renderer walks the runs.
 ``destabilizes`` reads from the same solved form whether a class has a
 predecessor one level up.  No function here applies ``stabilize``: the
 tests keep the flood of ``stabilize`` and ``classes_at`` as the oracles of
@@ -263,39 +264,31 @@ def max_tb(cable: CableSpec) -> int:
     return cable.r * cable.s
 
 
-def _peak_rots(r: int, s: int, k: int, w: int):
+def _peak_rots(r: int, s: int, w: int):
     """Rotation numbers of the maximal-tb peaks, distinct and ascending: the
-    cables of the Legendrian torus knots L with ``tb(L) = k``, that is
-    ``+/-(r - s*k) + s*rot(L)`` for ``rot(L)`` in ``k-w, k-w+2, ..., w-k``.
+    cables of the Legendrian torus knots L with ``tb(L) = k = ceil(r/s)``,
+    that is ``+/-(r - s*k) + s*rot(L)`` for ``rot(L)`` in ``k-w, k-w+2, ...,
+    w-k``.
 
     The two signs give two progressions of ``w - k + 1`` terms with step
-    ``2s``, the upper one ``2|r - s*k|`` above the lower.  When that offset
-    is ``q`` steps and no remainder, and they overlap or touch, their union
-    is one progression.  Otherwise they share no term, and the merge is
-    linear: the lower terms below the upper start come first, then the two
-    alternate, and the upper terms past the lower stop come last.
-
-    With ``k = ceil(r/s)``, as :func:`classify` passes it, ``0 <= |r - s*k|
-    < s``: the upper progression starts less than one step above the lower
-    one, so the two interleave term by term, and consecutive rots differ by
-    ``2|r - s*k|`` and ``2s - 2|r - s*k|`` in turn, or by ``2s`` throughout
-    when they coincide.  The gaps take at most two values, which keeps
-    :func:`mountain_range`'s grouping of the peaks by gap to two groups.
+    ``2s``, none when ``w < k``.  With ``h = s*k - r``, ``0 <= h < s``, the
+    upper progression is the lower one shifted by ``2h``, less than one
+    step.  When ``h = 0``, which for a cable means ``s = 1``, the two
+    coincide and the peaks are the lower progression.  Otherwise they
+    interleave term by term, lower first, and consecutive rots differ by
+    ``2h`` and ``2s - 2h`` in turn.  The gaps take at most two values, which
+    keeps :func:`mountain_range`'s grouping of the peaks by gap to two
+    groups.
     """
-    step, count = 2 * s, max(w - k + 1, 0)
-    half = abs(r - s * k)
-    lower = range(s * (k - w) - half, s * (k - w) - half + step * count, step)
-    upper = range(lower.start + 2 * half, lower.stop + 2 * half, step)
-    q, t = divmod(2 * half, step)
-    if t == 0 and q <= count:
-        return range(lower.start, upper.stop, step)
-    below = min(q + 1, count)
-    end = 2 * count - below
-    rots = [0] * (2 * count)
-    rots[:below] = lower[:below]
-    rots[below:end:2] = upper[:count - below]
-    rots[below + 1:end:2] = lower[below:]
-    rots[end:] = upper[count - below:]
+    k = -(-r // s)  # ceil(r/s)
+    h = s * k - r
+    start = s * (k - w) - h
+    lower = range(start, start + 2 * s * (w - k + 1), 2 * s)
+    if h == 0:
+        return lower
+    rots = [0] * (2 * len(lower))
+    rots[::2] = lower
+    rots[1::2] = range(start + 2 * h, lower.stop + 2 * h, 2 * s)
     return rots
 
 
@@ -305,8 +298,8 @@ def classify(cable: CableSpec) -> Classification:
     ``tb_max`` is the Bennequin bound in the low range and ``r*s`` elsewhere,
     as :func:`max_tb` says.  The low range has one peak at rot 0.  Every
     other region, negative slopes and the trefoil bands included, has the
-    one peak family of :func:`_peak_rots` with ``k = ceil(r/s)``: the peaks
-    are cables of the Legendrian torus knots with ``tb(L) = k``.  The peaks
+    one peak family of :func:`_peak_rots`: the peaks are cables of the
+    Legendrian torus knots with ``tb(L) = ceil(r/s)``.  The peaks
     are kept as their rots; no peak ``Generator`` is built here.  Each
     region adds its ``protected_l`` pairs and at most one ``protected_k``
     pair, in that order and plus before minus, together with its own
@@ -326,8 +319,7 @@ def classify(cable: CableSpec) -> Classification:
     if region.kind == LOW_RANGE:
         peak_rots = (0,)
     else:
-        k = -(-r // s)  # ceil(r/s)
-        peak_rots = tuple(_peak_rots(r, s, k, w))
+        peak_rots = tuple(_peak_rots(r, s, w))
     branches = []
     if region.kind == TREFOIL_BAND:
         n = region.index
@@ -342,7 +334,7 @@ def classify(cable: CableSpec) -> Classification:
             params["c_prime"] = r - delta - 1
             k_pair = (rs - delta, r * n, params["c_prime"])
     elif region.kind in (SIMPLE_MID, INFLUENCE_UPPER, INFLUENCE_LOWER):
-        params["k"] = k
+        params["k"] = -(-r // s)  # ceil(r/s)
         if region.kind != SIMPLE_MID:
             n = region.index
             iv = influence_interval(knot, n)
@@ -474,6 +466,12 @@ class MountainRange:
     ``counts`` expands them into one entry per cell, keyed in (tb, rot)
     ascending order.
 
+    The floor row ``runs[0]`` is non-empty and spans every row: its first
+    start is at most any row's first start, and its last stop at least any
+    row's last stop.  Every cell lies in a peak's downward cone, the peak
+    family is never empty, and the cones widen downward, so the floor row
+    holds the whole width of the rows above it.
+
     Compared by identity: ``counts`` is a dict, and no caller compares two
     ranges by value.
     """
@@ -503,12 +501,15 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     gaps give the right rows; the peak family has at most two (see
     :func:`_peak_rots`), so a call rebuilds its peak intervals at most
     twice.  Those intervals are disjoint and more than 2 apart, so each
-    gives one pair of edges.  A branch ``g`` at depth ``d = g.tb - tb`` adds
-    one class on every second rot from ``g.rot - sign*d`` to ``g.rot +
-    sign*(2*min(bound, d) - d)``.  One sweep over the interval edges yields
-    each row's runs of equal count, kept as ``runs`` and stored cell by cell
-    into ``counts``, which is keyed in (tb, rot) ascending order.  A row
-    costs O(intervals + branches) besides its cells, not O(peaks).
+    gives one pair of edges.  The sweep starts from all the peaks merged
+    into one run, from the first rot to the last: the family is never
+    empty.  A
+    branch ``g`` at depth ``d = g.tb - tb`` adds one class on every second
+    rot from ``g.rot - sign*d`` to ``g.rot + sign*(2*min(bound, d) - d)``.
+    One sweep over the interval edges yields each row's runs of equal
+    count, kept as ``runs``; ``counts`` is expanded from them after the
+    sweep, keyed in (tb, rot) ascending order.  A row costs O(intervals +
+    branches), not O(peaks), and the expansion O(cells).
     """
     tb_max = cls.tb_max
     if tb_floor > tb_max:
@@ -519,8 +520,7 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
         splits.setdefault(gap, []).append(i)
     merged_gaps = sorted(splits)  # the gaps still merged, the widest last
     opened = []  # the open split positions, ascending
-    peaks = [(rots[0], rots[-1])] if rots else []  # the end rots of each merged run of peaks
-    counts = {}
+    peaks = [(rots[0], rots[-1])]  # the end rots of each merged run of peaks
     runs = []
     for tb in range(tb_floor, tb_max + 1):
         d = tb_max - tb
@@ -543,11 +543,11 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
         for rot, step in edges:
             if n and rot > start:
                 row.append((start, rot, n))
-                for cell in range(start, rot, 2):
-                    counts[cell, tb] = n
             n += step
             start = rot
         runs.append(tuple(row))
+    counts = {(rot, tb): n for tb, row in zip(range(tb_floor, tb_max + 1), runs)
+              for start, stop, n in row for rot in range(start, stop, 2)}
     return MountainRange(tb_floor=tb_floor, tb_max=tb_max, counts=counts, runs=tuple(runs))
 
 

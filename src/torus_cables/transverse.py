@@ -84,15 +84,16 @@ def quotient_transverse(cls: Classification) -> TransverseClassification:
     The maximal self-linking number is the largest ``tb + |rot|`` over the
     generators.  The peaks all sit at ``tb_max`` and ``peak_rots`` ascends,
     so the largest ``|rot|`` among them is ``-peak_rots[0]`` or
-    ``peak_rots[-1]``, and the maximum is read from those two and the
-    branches, in O(branches).
+    ``peak_rots[-1]``.  Every protected head lies in a peak's downward cone,
+    ``|g.rot - peak| <= tb_max - g.tb``, so ``g.tb + |g.rot| <= tb_max +
+    |peak|`` and no branch exceeds the end peaks: the maximum is read from
+    those two alone, in O(1).
     """
-    # Read off the generators rather than bennequin_bound, so the routes stay independent.
-    branch_gens = cls.branches
+    # Read off the peaks rather than bennequin_bound, so the routes stay independent.
     rots = cls.peak_rots
-    top_sl = max([cls.tb_max + max(-rots[0], rots[-1]), *(g.tb + abs(g.rot) for g in branch_gens)])
+    top_sl = cls.tb_max + max(-rots[0], rots[-1])
     branches = [TransverseBranch(TOP_CHAIN, top_sl, destabilizable=False)]
-    for g in branch_gens:
+    for g in cls.branches:
         if g.sign != 1:
             continue  # minus-protected branches collapse into the top chain
         # The branch head and its negative-stabilization orbit Branch(g, 0, y)
@@ -287,7 +288,7 @@ def _check_qual1(cable: CableSpec, k: int, m: int, n: int) -> list:
     _claim(
         claims,
         "cable slope lies in (1, oo) and the cable is not Legendrian simple",
-        cable.slope.value > 1 and not cls.simple,
+        cable.slope.num > cable.slope.den and not cls.simple,
         f"slope {cable.slope}",
     )
     rot, tb = s - r + m, r * s - m
@@ -328,7 +329,7 @@ def _check_qual2(cable: CableSpec, k: int, m: int, n: int) -> list:
     _claim(
         claims,
         "cable slope lies in (1, oo) and the cable is not transversely simple",
-        cable.slope.value > 1 and not tcls.simple,
+        cable.slope.num > cable.slope.den and not tcls.simple,
         f"slope {cable.slope}",
     )
     _claim(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from torus_cables.cli import render_mountain
 from torus_cables.legendrian import (
     PEAK,
     Branch,
@@ -37,7 +38,7 @@ from torus_cables.torus_knots import (
     locate,
     tori_census,
 )
-from torus_cables.transverse import classify_transverse
+from torus_cables.transverse import classify_transverse, quotient_transverse
 
 from conftest import S, reduced_pairs
 
@@ -512,8 +513,14 @@ def _assert_runs_are_the_cells(mr):
     # runs holds one row per tb from the floor up; a row's runs are
     # non-empty, ascending and disjoint, each a nonzero count on every
     # second rot of [start, stop).  Expanded, they are counts: the same
-    # keys, the same values and the same (tb, rot) key order.
+    # keys, the same values and the same (tb, rot) key order.  The floor
+    # row is non-empty and spans every row, which render_mountain reads.
     assert len(mr.runs) == mr.tb_max - mr.tb_floor + 1
+    floor = mr.runs[0]
+    assert floor, mr.tb_floor
+    for row in mr.runs:
+        if row:
+            assert floor[0][0] <= row[0][0] and row[-1][1] <= floor[-1][1], (floor, row)
     expanded = {}
     for tb, row in zip(range(mr.tb_floor, mr.tb_max + 1), mr.runs):
         end = None
@@ -632,9 +639,12 @@ def test_mountain_range_matches_apex_scan_on_grid_and_many_peaks():
 
 def test_oracles_catch_a_head_outside_every_peak_cone():
     # mountain_range, common_reachable and destabilizes read the common
-    # class from the peak cones alone, which holds because every protected
-    # head lies in one (_heads_in_peak_cones).  The oracles still flood or
-    # scan the branch collapse heads, so they must catch a classification
+    # class from the peak cones alone, quotient_transverse reads the maximal
+    # self-linking from the end peaks alone, and render_mountain reads its
+    # span from the floor row alone; each holds because every protected
+    # head lies in a peak cone (_heads_in_peak_cones).  The oracles still
+    # flood or scan the branch collapse heads, take the maximum over every
+    # generator, or span every cell, so they must catch a classification
     # doctored to break that: its plus head, on the edge of the outermost
     # peak's cone, moved 2 rot further out, parity kept.
     for cable in (CableSpec(T25, 8, 9), CableSpec(T23, 7, 11)):
@@ -662,6 +672,21 @@ def test_oracles_catch_a_head_outside_every_peak_cone():
             classes += branch + [Common(rot, tb)] * (n > len(branch))
         assert any(destabilizes(doctored, c) != _searched_destabilizes(doctored, c)
                    for c in classes), cable
+        top = max(g.tb + abs(g.rot) for g in doctored.generators)
+        assert quotient_transverse(doctored).max_sl < top, cable
+        assert any(not _renders_by_cell(mountain_range(doctored, floor))
+                   for floor in range(moved.tb, moved.tb - 21, -1)), cable
+
+
+def _renders_by_cell(mr):
+    # Whether render_mountain gives the per-cell reference's bytes; a span
+    # too narrow for some cell may instead raise ValueError.
+    from test_cli import _render_by_cell  # test_cli imports this module
+
+    try:
+        return render_mountain(mr) == _render_by_cell(mr)
+    except ValueError:
+        return False
 
 
 def _one_peak_per_standard_solid_torus(knots, s_min, s_max):
@@ -775,38 +800,19 @@ def _scanned_common_reachable(cls, rot, tb):
     )
 
 
-# (r, s, k, w) for each way the two progressions +/-(r - s*k) + s*rho can
-# meet.  A cable has k = ceil(r/s), so they coincide when s = 1 and
-# interleave otherwise; a k away from that also gives progressions with one
-# residue mod 2s and a gap between them.
-_PROGRESSIONS = st.one_of(
-    # coincident: r = s*k
-    st.builds(lambda s, k, w: (s * k, s, k, w),
-              st.integers(1, 12), st.integers(-30, 30), st.integers(-5, 60)),
-    # interleaved: r = s*k - t with 0 < t < s, the cables' own case
-    st.integers(2, 12).flatmap(lambda s: st.builds(
-        lambda t, k, w: (s * k - t, s, k, w),
-        st.integers(1, s - 1), st.integers(-30, 30), st.integers(-5, 60))),
-    # one residue, touching or with a gap: r - s*k is a multiple of s at
-    # least as large as s times the w - k + 1 terms
-    st.builds(lambda s, k, terms, past, sign: (s * (k + sign * (terms + past)), s, k, k - 1 + terms),
-              st.integers(1, 12), st.integers(-30, 30), st.integers(0, 20), st.integers(0, 30),
-              st.sampled_from((1, -1))),
-    st.tuples(st.integers(-200, 200), st.integers(1, 12), st.integers(-30, 30), st.integers(-5, 60)),
-)
-
-
+# (r, s, w) with k = ceil(r/s), as classify has it: r = s*k - h with
+# 0 <= h < s, so the two progressions +/-(r - s*k) + s*rho coincide when
+# h = 0 and interleave term by term otherwise; w < k leaves no terms.
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_PROGRESSIONS)
-@example((6, 3, 2, 5))  # coincident
-@example((7, 3, 3, 10))  # interleaved
-@example((6, 1, 2, 5))  # one residue, touching
-@example((30, 1, 2, 5))  # one residue, a gap
-@example((3, 1, 9, 5))  # no terms
-def test_peak_rots_match_set_and_sort(args):
-    rots = list(_peak_rots(*args))
-    assert rots == _sorted_peak_rots(*args), args
-    assert all(a < b for a, b in zip(rots, rots[1:])), args
+@given(st.integers(-200, 200).filter(bool), st.integers(1, 12), st.integers(-5, 60))
+@example(6, 1, 8)  # coincident, s = 1
+@example(6, 3, 5)  # coincident, h = 0 with s > 1
+@example(7, 3, 10)  # interleaved
+@example(30, 7, 3)  # no terms: w < k = 5
+def test_peak_rots_match_set_and_sort(r, s, w):
+    rots = list(_peak_rots(r, s, w))
+    assert rots == _sorted_peak_rots(r, s, -(-r // s), w), (r, s, w)
+    assert all(a < b for a, b in zip(rots, rots[1:])), (r, s, w)
 
 
 def _probe_points(cls):
@@ -834,6 +840,7 @@ def test_peaks_and_common_reachable_match_oracles(cable):
     assume(r != 0 and gcd(abs(r), s) == 1 and not (s == 1 and r < knot.width))
     cls = classify(CableSpec(knot, r, s))
     rots = list(cls.peak_rots)
+    assert rots, cls.cable
     assert all(a < b for a, b in zip(rots, rots[1:])), cls.cable
     # The two progressions alternate, so mountain_range's gap rule opens
     # and merges the splits between peaks in at most two groups.

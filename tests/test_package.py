@@ -75,8 +75,9 @@ def test_star_import_binds_every_name():
 
 
 def test_commands_import_no_dataclasses_inspect_or_typing():
-    # Cold start: the value types need none of these modules, so no command
-    # pays for importing them.  -S keeps site's own imports out of the count.
+    # Cold start: the value types need none of these modules, and no command
+    # reads a slope's Fraction value, so no command pays for importing them.
+    # -S keeps site's own imports out of the count.
     argvs = [
         ["farey", "neighbors", "355/113"],
         ["bypass", "front", "3/7", "1/2"],
@@ -85,10 +86,12 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
         ["mountain", "--pq", "2,3", "--rs", "2,5", "--tb-floor", "4"],
         ["transverse", "--pq", "3,4", "--rs", "7,2", "--json"],
         ["verify", "--suite", "qual4", "--pq", "2,5", "--k", "2", "--m", "3", "--n", "5"],
+        ["verify", "--suite", "qual1", "--k", "2", "--m", "1", "--n", "4"],
+        ["verify", "--suite", "qual2", "--k", "2", "--m", "1", "--n", "4"],
     ]
     code = (f"import io, sys\nfrom torus_cables import cli\nfor argv in {argvs!r}:\n"
             "    assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv\n"
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'fractions', 'inspect', 'typing'} & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
