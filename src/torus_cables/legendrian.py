@@ -23,10 +23,13 @@ and the point a branch collapses onto lies in its head's own cone, which
 nests in that peak's (the reasons, region by region, are on
 :class:`Classification`).
 
-The peaks all sit at ``tb_max``, so a :class:`Classification` stores them as
-their rots alone, ``peak_rots``, next to its protected ``branches``; the
-queries read those two, and ``generators`` builds the peak ``Generator``
-objects only for the callers that list every generator.
+The peaks all sit at ``tb_max`` and their rots form at most two arithmetic
+progressions, so a :class:`Classification` stores them as those
+progressions, ``peaks``, one or two ``range`` objects, next to its protected
+``branches``: it holds the same few numbers at any width.  The queries read
+the progressions, so their cost does not grow with the width; ``peak_rots``
+and ``generators`` expand them, on each access, for the callers that list
+every peak.
 
 ``stabilize`` is the one transition rule of the model, and the mountain
 range is the set of lattice points its words reach.  ``classes_at`` is the
@@ -53,7 +56,6 @@ additionally carry one protected pair per integer band below the slope.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd, inf
 from operator import sub
 
@@ -187,8 +189,14 @@ class Parameters:
 
 @frozen
 class Classification:
-    """A cable's classification: the rots of its peaks, strictly ascending
-    and every peak at ``tb_max``, and its protected branches.
+    """A cable's classification: its peaks, every one at ``tb_max``, and its
+    protected branches.
+
+    ``peaks`` holds the peak rots as one or two ascending ``range`` objects,
+    the lower progression first (see :func:`_peak_rots`); the two share a
+    length and interleave term by term, lower first, so ``peaks[0][0]`` is
+    the lowest rot and ``peaks[-1][-1]`` the highest.  ``peak_rots`` and
+    ``generators`` list them in ascending rot.
 
     Every protected head lies in the downward cone of some peak,
     ``|g.rot - peak| <= tb_max - g.tb``, so the common class is the union
@@ -216,7 +224,7 @@ class Classification:
     cable: CableSpec
     region: Region
     parameters: Parameters
-    peak_rots: tuple
+    peaks: tuple
     branches: tuple
 
     @property
@@ -229,11 +237,24 @@ class Classification:
         return not self.branches
 
     @property
+    def peak_rots(self) -> tuple:
+        """The peak rots, strictly ascending, built on each access."""
+        rots = [0] * sum(map(len, self.peaks))
+        for i, progression in enumerate(self.peaks):
+            rots[i::len(self.peaks)] = progression
+        return tuple(rots)
+
+    @property
     def generators(self) -> tuple:
         """Every generator, built on each access: the peaks in ascending rot,
-        each ``Generator(PEAK, tb_max, rot)``, then the branches."""
+        each ``Generator(PEAK, tb_max, rot)``, then the branches.  Each
+        progression is built in place, with no list of the rots."""
         tb = self.tb_max
-        return (*[Generator(PEAK, tb, rot) for rot in self.peak_rots], *self.branches)
+        gens = [None] * sum(map(len, self.peaks))
+        for i, progression in enumerate(self.peaks):
+            gens[i::len(self.peaks)] = [Generator(PEAK, tb, rot) for rot in progression]
+        gens += self.branches
+        return tuple(gens)
 
 
 def bennequin_bound(cable: CableSpec) -> int:
@@ -251,56 +272,48 @@ def _check_framing(cable: CableSpec) -> None:
 
 
 def max_tb(cable: CableSpec) -> int:
-    """Maximal Thurston-Bennequin invariant of the cable.
-
-    The Bennequin bound in the low range 0 < s/r <= 1/w, where it is
-    attained, and ``r*s`` everywhere else: ``classify(cable).tb_max``
-    without building the generators.  Rejects the ``s = 1`` cables that
-    :func:`classify` rejects.
+    """Maximal Thurston-Bennequin invariant of the cable:
+    ``classify(cable).tb_max``, which costs O(1) in the knot's width.
+    Raises what :func:`classify` raises.
     """
-    _check_framing(cable)
-    if locate(cable.knot, cable.slope).kind == LOW_RANGE:
-        return bennequin_bound(cable)
-    return cable.r * cable.s
+    return classify(cable).tb_max
 
 
-def _peak_rots(r: int, s: int, w: int):
-    """Rotation numbers of the maximal-tb peaks, distinct and ascending: the
-    cables of the Legendrian torus knots L with ``tb(L) = k = ceil(r/s)``,
-    that is ``+/-(r - s*k) + s*rot(L)`` for ``rot(L)`` in ``k-w, k-w+2, ...,
-    w-k``.
+def _peak_rots(r: int, s: int, w: int) -> tuple:
+    """Rotation numbers of the maximal-tb peaks, as one or two ascending
+    ``range`` objects, the lower first: the cables of the Legendrian torus
+    knots L with ``tb(L) = k = ceil(r/s)``, that is ``+/-(r - s*k) +
+    s*rot(L)`` for ``rot(L)`` in ``k-w, k-w+2, ..., w-k``.
 
     The two signs give two progressions of ``w - k + 1`` terms with step
     ``2s``, none when ``w < k``.  With ``h = s*k - r``, ``0 <= h < s``, the
     upper progression is the lower one shifted by ``2h``, less than one
     step.  When ``h = 0``, which for a cable means ``s = 1``, the two
-    coincide and the peaks are the lower progression.  Otherwise they
+    coincide and the peaks are the lower progression alone.  Otherwise they
     interleave term by term, lower first, and consecutive rots differ by
     ``2h`` and ``2s - 2h`` in turn.  The gaps take at most two values, which
     keeps :func:`mountain_range`'s grouping of the peaks by gap to two
-    groups.
+    groups.  Building the ranges costs O(1) in ``w``.
     """
     k = -(-r // s)  # ceil(r/s)
     h = s * k - r
     start = s * (k - w) - h
     lower = range(start, start + 2 * s * (w - k + 1), 2 * s)
     if h == 0:
-        return lower
-    rots = [0] * (2 * len(lower))
-    rots[::2] = lower
-    rots[1::2] = range(start + 2 * h, lower.stop + 2 * h, 2 * s)
-    return rots
+        return (lower,)
+    return lower, range(start + 2 * h, lower.stop + 2 * h, 2 * s)
 
 
 def classify(cable: CableSpec) -> Classification:
     """Full classification of the Legendrian representatives of the cable.
 
-    ``tb_max`` is the Bennequin bound in the low range and ``r*s`` elsewhere,
-    as :func:`max_tb` says.  The low range has one peak at rot 0.  Every
-    other region, negative slopes and the trefoil bands included, has the
-    one peak family of :func:`_peak_rots`: the peaks are cables of the
-    Legendrian torus knots with ``tb(L) = ceil(r/s)``.  The peaks
-    are kept as their rots; no peak ``Generator`` is built here.  Each
+    ``tb_max`` is the Bennequin bound in the low range 0 < s/r <= 1/w, where
+    it is attained, and ``r*s`` elsewhere.  The low range has one peak at
+    rot 0.  Every other region, negative slopes and the trefoil bands
+    included, has the one peak family of :func:`_peak_rots`: the peaks are
+    cables of the Legendrian torus knots with ``tb(L) = ceil(r/s)``.  The
+    peaks are kept as their progressions, so a call costs O(1) in the
+    width; no list of peak rots and no peak ``Generator`` is built.  Each
     region adds its ``protected_l`` pairs and at most one ``protected_k``
     pair, in that order and plus before minus, together with its own
     parameters.  The classification is simple exactly when no generator is
@@ -316,10 +329,7 @@ def classify(cable: CableSpec) -> Classification:
     params = {}
     k_pair = None  # (tb, |rot|, bound) of the protected_k heads
 
-    if region.kind == LOW_RANGE:
-        peak_rots = (0,)
-    else:
-        peak_rots = tuple(_peak_rots(r, s, w))
+    peaks = (range(0, 1),) if region.kind == LOW_RANGE else _peak_rots(r, s, w)
     branches = []
     if region.kind == TREFOIL_BAND:
         n = region.index
@@ -365,7 +375,7 @@ def classify(cable: CableSpec) -> Classification:
         cable=cable,
         region=region,
         parameters=Parameters(w=w, tb_max=tb_max, **params),
-        peak_rots=peak_rots,
+        peaks=peaks,
         branches=tuple(branches),
     )
 
@@ -378,15 +388,19 @@ def common_reachable(cls: Classification, rot: int, tb: int) -> bool:
     The common class lives on the union of the peaks' downward cones: every
     protected head, and so every point a branch collapses from, already lies
     in one of them (see :class:`Classification`).  The peaks all sit at
-    ``tb_max`` and ``peak_rots`` ascends, so of all the peak cones the widest
-    at ``rot`` belongs to the nearest peak on one side or the other: a
-    bisection of ``peak_rots`` finds those two, in O(log w).
+    ``tb_max``, so the point lies in a peak cone exactly when some peak rot
+    falls in ``[rot - d, rot + d]``, ``d = tb_max - tb``.  In each
+    progression of ``peaks`` the first term at or above ``rot - d`` comes
+    from one floor division, so the query costs O(1) in the width.
     """
     if (rot + tb) % 2 == 0:
         return False
-    rots = cls.peak_rots
-    i = bisect_left(rots, rot)
-    return any(abs(rot - peak) <= cls.tb_max - tb for peak in rots[max(i - 1, 0):i + 1])
+    d = cls.tb_max - tb
+    for progression in cls.peaks:
+        i = max(-((progression.start - rot + d) // progression.step), 0)  # ceil
+        if i < len(progression) and progression[i] <= rot + d:
+            return True
+    return False
 
 
 def classes_at(cls: Classification, rot: int, tb: int) -> list:
@@ -509,7 +523,8 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     One sweep over the interval edges yields each row's runs of equal
     count, kept as ``runs``; ``counts`` is expanded from them after the
     sweep, keyed in (tb, rot) ascending order.  A row costs O(intervals +
-    branches), not O(peaks), and the expansion O(cells).
+    branches), not O(peaks), and the expansion O(cells).  The peak rots are
+    listed once per call from ``peaks``; each is a cell of the top row.
     """
     tb_max = cls.tb_max
     if tb_floor > tb_max:

@@ -82,16 +82,17 @@ def quotient_transverse(cls: Classification) -> TransverseClassification:
     """Transverse classes as negative-stabilization orbits of the model.
 
     The maximal self-linking number is the largest ``tb + |rot|`` over the
-    generators.  The peaks all sit at ``tb_max`` and ``peak_rots`` ascends,
-    so the largest ``|rot|`` among them is ``-peak_rots[0]`` or
-    ``peak_rots[-1]``.  Every protected head lies in a peak's downward cone,
-    ``|g.rot - peak| <= tb_max - g.tb``, so ``g.tb + |g.rot| <= tb_max +
-    |peak|`` and no branch exceeds the end peaks: the maximum is read from
-    those two alone, in O(1).
+    generators.  The peaks all sit at ``tb_max``, and of their progressions
+    the lower holds the lowest rot and the upper the highest, so the largest
+    ``|rot|`` among them is ``-peaks[0][0]`` or ``peaks[-1][-1]``.  Every
+    protected head lies in a peak's downward cone, ``|g.rot - peak| <=
+    tb_max - g.tb``, so ``g.tb + |g.rot| <= tb_max + |peak|`` and no branch
+    exceeds the end peaks: the maximum is read from those two alone, in O(1)
+    of the width.
     """
     # Read off the peaks rather than bennequin_bound, so the routes stay independent.
-    rots = cls.peak_rots
-    top_sl = cls.tb_max + max(-rots[0], rots[-1])
+    peaks = cls.peaks
+    top_sl = cls.tb_max + max(-peaks[0][0], peaks[-1][-1])
     branches = [TransverseBranch(TOP_CHAIN, top_sl, destabilizable=False)]
     for g in cls.branches:
         if g.sign != 1:

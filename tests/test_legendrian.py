@@ -1,7 +1,7 @@
 import re
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, zip_longest
 from math import gcd
 
 import pytest
@@ -651,7 +651,7 @@ def test_oracles_catch_a_head_outside_every_peak_cone():
         cls = classify(cable)
         g = next(g for g in cls.branches if g.sign == 1)
         moved = Generator(g.kind, g.tb, g.rot + 2, g.sign, g.index, g.bound, g.destabilizable)
-        doctored = Classification(cls.cable, cls.region, cls.parameters, cls.peak_rots,
+        doctored = Classification(cls.cable, cls.region, cls.parameters, cls.peaks,
                                   tuple(moved if h == g else h for h in cls.branches))
         depth = cls.tb_max - moved.tb
         assert min(abs(moved.rot - rot) for rot in cls.peak_rots) == depth + 2, cable
@@ -810,7 +810,8 @@ def _scanned_common_reachable(cls, rot, tb):
 @example(7, 3, 10)  # interleaved
 @example(30, 7, 3)  # no terms: w < k = 5
 def test_peak_rots_match_set_and_sort(r, s, w):
-    rots = list(_peak_rots(r, s, w))
+    # One term of each progression in turn, lower first; none is dropped.
+    rots = [rot for terms in zip_longest(*_peak_rots(r, s, w)) for rot in terms if rot is not None]
     assert rots == _sorted_peak_rots(r, s, -(-r // s), w), (r, s, w)
     assert all(a < b for a, b in zip(rots, rots[1:])), (r, s, w)
 

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from torus_cables.legendrian import (
     Branch,
     CableSpec,
+    Common,
     classes_at,
     classify,
+    destabilizes,
     mountain_range,
     stabilize,
 )
@@ -24,6 +26,7 @@ from torus_cables.transverse import (
 )
 
 from conftest import reduced_pairs
+from test_legendrian import _searched_destabilizes
 
 T23 = TorusKnotSpec(2, 3)
 T25 = TorusKnotSpec(2, 5)
@@ -308,3 +311,48 @@ def test_qual1_finishes_at_large_n():
     assert verify_qualitative(T23, "qual1", 1, 1, 10**5).passed
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
+
+
+def _timed(fn, *args):
+    # The answer of one call, which must return within 0.1 s.
+    start = time.monotonic()
+    answer = fn(*args)
+    elapsed = time.monotonic() - start
+    assert elapsed < 0.1, f"{fn.__name__} took {elapsed:.3f}s"
+    return answer
+
+
+def test_huge_widths_are_in_reach():
+    # T(1000001,1000003) has width w of about 10^12, so its peak family has
+    # about 2*10^12 rots: the queries read the progressions, never the list.
+    # The (7, 3)-cable, and the qual4 cable in the upper interval of
+    # influence of index 2.
+    knot = TorusKnotSpec(1000001, 1000003)
+    w = knot.width
+    report = verify_qualitative(knot, "qual4", 2, 3, 5)
+    assert report.passed, report.claims
+    branches = 0
+    for cable in (CableSpec(knot, 7, 3), report.cable):
+        cls = _timed(classify, cable)
+        k = -(-cable.r // cable.s)  # ceil(r/s)
+        assert sum(map(len, cls.peaks)) == 2 * (w - k + 1), cable
+        via_quotient = _timed(quotient_transverse, cls)
+        direct = classify_transverse(cable)
+        assert via_quotient.max_sl == direct.max_sl, cable
+        assert side_branches(via_quotient) == side_branches(direct), cable
+        # Around each end peak, the common class against a scan of the first
+        # and last few peaks of each progression, which hold every peak
+        # within reach.
+        near = [rot for progression in cls.peaks for rot in (*progression[:4], *progression[-4:])]
+        for end in (cls.peaks[0][0], cls.peaks[-1][-1]):
+            for rot in range(end - 4, end + 5):
+                for tb in range(cls.tb_max - 3, cls.tb_max + 2):
+                    classes = _timed(classes_at, cls, rot, tb)
+                    common = (rot + tb) % 2 == 1 and any(
+                        abs(rot - peak) <= cls.tb_max - tb for peak in near)
+                    assert (Common(rot, tb) in classes) == common, (cable, rot, tb)
+                    for c in classes:
+                        assert _timed(destabilizes, cls, c) == _searched_destabilizes(cls, c), (
+                            cable, c)
+                        branches += isinstance(c, Branch)
+    assert branches > 0
