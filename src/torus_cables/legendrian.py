@@ -29,7 +29,9 @@ progressions, ``peaks``, one or two ``range`` objects, next to its protected
 ``branches``: it holds the same few numbers at any width.  The queries read
 the progressions, so their cost does not grow with the width; ``peak_rots``
 and ``generators`` expand them, on each access, for the callers that list
-every peak.
+every peak.  A peak needs ``tb + rot`` odd, and a progression's step ``2s``
+is even, so ``generators`` checks that parity once per progression and
+builds the peaks past ``Generator``'s own check.
 
 ``stabilize`` is the one transition rule of the model, and the mountain
 range is the set of lattice points its words reach.  ``classes_at`` is the
@@ -248,11 +250,23 @@ class Classification:
     def generators(self) -> tuple:
         """Every generator, built on each access: the peaks in ascending rot,
         each ``Generator(PEAK, tb_max, rot)``, then the branches.  Each
-        progression is built in place, with no list of the rots."""
+        progression is built in place, with no list of the rots.
+
+        ``Generator``'s check runs once per progression, on its first two
+        terms, and the peaks are built past it.  The two terms fix the step:
+        if ``tb_max + rot`` is odd at the first and the step is even, it is
+        odd at every term.  A progression that fails raises the
+        ``ValueError`` of its first failing term, as building every peak
+        would."""
         tb = self.tb_max
         gens = [None] * sum(map(len, self.peaks))
         for i, progression in enumerate(self.peaks):
-            gens[i::len(self.peaks)] = [Generator(PEAK, tb, rot) for rot in progression]
+            for rot in progression[:2]:
+                Generator(PEAK, tb, rot)
+            gens[i::len(self.peaks)] = [
+                tuple.__new__(Generator, (PEAK, tb, rot, None, None, None, True))
+                for rot in progression
+            ]
         gens += self.branches
         return tuple(gens)
 

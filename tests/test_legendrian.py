@@ -878,6 +878,8 @@ _TREFOIL_BANDS = st.integers(1, 12).flatmap(
 @given(st.one_of(_WIDE_CABLES, _TREFOIL_BANDS))
 @example((T23, 1, 50))
 @example((T23, 3, 152))
+@example((T23, 1, 1))  # s = 1: the two progressions coincide, one range
+@example((T25, 7, 2))  # the low range: the one peak range(0, 1)
 def test_generators_match_listed_generators(cable):
     knot, r, s = cable
     assume(r != 0 and gcd(abs(r), s) == 1)
@@ -887,3 +889,21 @@ def test_generators_match_listed_generators(cable):
     assert len(got) == len(want), cls.cable
     for g, h in zip(got, want):
         assert type(g) is Generator and tuple(g) == tuple(h), (cls.cable, g, h)
+
+
+def test_generators_check_each_peak_progression():
+    # generators runs Generator's parity check on each progression's first
+    # two terms only, and builds the rest past it; a progression doctored
+    # off parity, by its start or by its step, must still raise.
+    cls = classify(CableSpec(T25, 8, 9))
+    lower, upper = cls.peaks
+    assert len(upper) > 2, cls.peaks
+    shifted = range(upper.start + 1, upper.stop + 1, upper.step)
+    odd_step = range(upper.start, upper.stop + len(upper), upper.step + 1)  # same length
+    for doctored, bad in ((shifted, shifted[0]), (odd_step, odd_step[1])):
+        assert len(doctored) == len(upper) and (cls.tb_max + bad) % 2 == 0, doctored
+        broken = Classification(cls.cable, cls.region, cls.parameters, (lower, doctored),
+                                cls.branches)
+        message = f"tb + rot must be odd, got ({cls.tb_max}, {bad})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            broken.generators
