@@ -38,13 +38,15 @@ range is the set of lattice points its words reach.  ``classes_at`` is the
 solved form of that lattice at one point; ``mountain_range`` builds each
 row from the same solved form as a union of parity-stepped intervals, so
 its work grows with the rows and the cells, not with the words.  The peaks
-are two interleaved progressions (see :func:`_peak_rots`), so their gaps
-take at most two values.  The cones of two neighboring peaks merge once the
-depth reaches half their gap less one, so each row takes the peak intervals
-between the splits whose gap is still open, and a row costs its intervals
-and branches, not every peak.  The sweep keeps each row as its runs of
-equal count, ``MountainRange.runs``, and the per-cell ``counts`` is
-expanded from the runs once the sweep is done; the renderer walks the runs.
+are two interleaved progressions (see :func:`_peak_rots`), so the gap after
+a peak depends only on the parity of its place.  The cones of two
+neighboring peaks merge once the depth reaches half their gap less one, so
+the open parities give each row's peak intervals one of three forms: one
+interval, the pairs across the smaller gap, or every peak alone.  A row
+costs its intervals and branches, not every peak.  The sweep keeps each
+row as its runs of equal count, ``MountainRange.runs``, and the per-cell
+``counts`` is expanded from the runs once the sweep is done; the renderer
+walks the runs.
 ``destabilizes`` reads from the same solved form whether a class has a
 predecessor one level up.  No function here applies ``stabilize``: the
 tests keep the flood of ``stabilize`` and ``classes_at`` as the oracles of
@@ -195,10 +197,12 @@ class Classification:
     protected branches.
 
     ``peaks`` holds the peak rots as one or two ascending ``range`` objects,
-    the lower progression first (see :func:`_peak_rots`); the two share a
-    length and interleave term by term, lower first, so ``peaks[0][0]`` is
-    the lowest rot and ``peaks[-1][-1]`` the highest.  ``peak_rots`` and
-    ``generators`` list them in ascending rot.
+    the lower progression first (see :func:`_peak_rots`); the two share one
+    step ``2s`` and one length and interleave term by term, lower first, so
+    ``peaks[0][0]`` is the lowest rot and ``peaks[-1][-1]`` the highest.
+    ``peak_rots`` and ``generators`` list them in ascending rot.  So the
+    gap after the ``i``-th of ``peak_rots`` depends only on ``i % 2``, which
+    :func:`mountain_range` reads.
 
     Every protected head lies in the downward cone of some peak,
     ``|g.rot - peak| <= tb_max - g.tb``, so the common class is the union
@@ -305,9 +309,9 @@ def _peak_rots(r: int, s: int, w: int) -> tuple:
     step.  When ``h = 0``, which for a cable means ``s = 1``, the two
     coincide and the peaks are the lower progression alone.  Otherwise they
     interleave term by term, lower first, and consecutive rots differ by
-    ``2h`` and ``2s - 2h`` in turn.  The gaps take at most two values, which
-    keeps :func:`mountain_range`'s grouping of the peaks by gap to two
-    groups.  Building the ranges costs O(1) in ``w``.
+    ``2h`` and ``2s - 2h`` in turn: the gap after the ``i``-th peak depends
+    only on ``i % 2``, which :func:`mountain_range` reads from the first
+    three rots.  Building the ranges costs O(1) in ``w``.
     """
     k = -(-r // s)  # ceil(r/s)
     h = s * k - r
@@ -424,7 +428,7 @@ def classes_at(cls: Classification, rot: int, tb: int) -> list:
     found = []
     for g in cls.branches:
         twice_x = (g.tb - tb) + g.sign * (rot - g.rot)
-        if twice_x % 2 or twice_x < 0:
+        if twice_x < 0:
             continue
         x = twice_x // 2
         y = (g.tb - tb) - x
@@ -523,17 +527,19 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     Each row is built from the solved form.  The common class covers the
     union of the peak cones ``[rot - d, rot + d]`` at depth ``d = tb_max -
     tb`` (see :class:`Classification`).  The cones of two consecutive peaks
-    merge exactly when their gap is at most ``2d + 2``: the split positions
-    between peaks are grouped by gap once, and each row takes the peak
-    intervals between the splits whose gap is still wider than that.  Any
-    gaps give the right rows; the peak family has at most two (see
-    :func:`_peak_rots`), so a call rebuilds its peak intervals at most
-    twice.  Those intervals are disjoint and more than 2 apart, so each
-    gives one pair of edges.  The sweep starts from all the peaks merged
-    into one run, from the first rot to the last: the family is never
-    empty.  A
-    branch ``g`` at depth ``d = g.tb - tb`` adds one class on every second
-    rot from ``g.rot - sign*d`` to ``g.rot + sign*(2*min(bound, d) - d)``.
+    merge exactly when their gap is at most ``2d + 2``.  The gap after
+    ``rots[i]`` depends only on ``i % 2`` (see :func:`_peak_rots`), so each
+    row compares ``2d + 2`` with the first two gaps, and the parities whose
+    gap is still wider give the peak intervals one of three forms: one
+    interval from the first rot to the last, when no gap is open; the pairs
+    across the smaller gap, when only the wider is; every peak alone, when
+    both are.  The sweep climbs, so the open parities only grow: a call
+    builds its peak intervals at most three times, each time as two slices
+    of the rots, their starts and their ends.  Those intervals are disjoint
+    and more than 2 apart, so each gives one pair of edges.  The family is
+    never empty, so the first form has an interval.  A branch ``g`` at
+    depth ``d = g.tb - tb`` adds one class on every second rot from
+    ``g.rot - sign*d`` to ``g.rot + sign*(2*min(bound, d) - d)``.
     One sweep over the interval edges yields each row's runs of equal
     count, kept as ``runs``; ``counts`` is expanded from them after the
     sweep, keyed in (tb, rot) ascending order.  A row costs O(intervals +
@@ -544,19 +550,16 @@ def mountain_range(cls: Classification, tb_floor: int) -> MountainRange:
     if tb_floor > tb_max:
         raise ValueError(f"tb floor {tb_floor} exceeds the maximal tb {tb_max}")
     rots, branches = cls.peak_rots, cls.branches
-    splits = {}  # gap -> the positions i, ascending, with rots[i + 1] - rots[i] == gap
-    for i, gap in enumerate(map(sub, rots[1:], rots)):
-        splits.setdefault(gap, []).append(i)
-    merged_gaps = sorted(splits)  # the gaps still merged, the widest last
-    opened = []  # the open split positions, ascending
+    gaps = list(map(sub, rots[1:3], rots))  # the gap after rots[i] is gaps[i % 2]
+    opened = []  # the parities whose gap is still open
     peaks = [(rots[0], rots[-1])]  # the end rots of each merged run of peaks
     runs = []
     for tb in range(tb_floor, tb_max + 1):
         d = tb_max - tb
-        while merged_gaps and merged_gaps[-1] > 2 * d + 2:
-            opened = sorted(opened + splits[merged_gaps.pop()])
-            peaks = list(zip([rots[0]] + [rots[i + 1] for i in opened],
-                             [rots[i] for i in opened] + [rots[-1]]))
+        now = [i for i, gap in enumerate(gaps) if gap > 2 * d + 2]
+        if now != opened:  # one gap class opens: the pairs across the other, or every peak
+            opened, i, step = now, now[0], 3 - len(now)
+            peaks = list(zip(rots[:1] + rots[i + 1::step], rots[i:-1:step] + rots[-1:]))
         edges = []
         for lo, hi in peaks:
             edges += ((lo - d, 1), (hi + d + 2, -1))

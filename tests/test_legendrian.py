@@ -621,8 +621,11 @@ def test_mountain_range_matches_apex_scan_on_wide_knots(cable, depth):
 def test_mountain_range_matches_apex_scan_on_grid_and_many_peaks():
     # Criterion 7a's grid at depth 15, and four cables with many peaks or
     # many branches at depths 0, 1, s - 2, s - 1, s and 20.  The peak gaps
-    # 2|r - s*k| and 2s - 2|r - s*k| are both below 2s, so the gap rule has
-    # merged every split by depth s - 1; the rows nearer the top keep some open.
+    # 2h and 2s - 2h, h = s*ceil(r/s) - r, are both below 2s, so the gap rule
+    # has merged every split by depth s - 1; the rows nearer the top keep
+    # some open.  A gap 2g opens between depths g - 1 and g - 2, so the
+    # depths h - 2, h - 1, s - h - 2 and s - h - 1 that are not negative take
+    # each switch of the row's form from both sides.
     for spec in (T25, T34):
         for r, s in reduced_pairs(10):
             if not (s == 1 and r < spec.width):
@@ -633,7 +636,9 @@ def test_mountain_range_matches_apex_scan_on_grid_and_many_peaks():
     for cable in cables:
         cls = classify(cable)
         s = cable.s
-        for depth in (0, 1, s - 2, s - 1, s, 20):
+        h = s * -(-cable.r // s) - cable.r
+        switches = (h - 2, h - 1, s - h - 2, s - h - 1)
+        for depth in sorted({0, 1, s - 2, s - 1, s, 20}.union(d for d in switches if d >= 0)):
             _assert_matches_apex_scan(cls, cls.tb_max - depth)
 
 
