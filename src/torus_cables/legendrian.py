@@ -48,10 +48,15 @@ row as its runs of equal count, ``MountainRange.runs``, and the per-cell
 ``counts`` is expanded from the runs once the sweep is done; the renderer
 walks the runs.
 ``destabilizes`` reads from the same solved form whether a class has a
-predecessor one level up.  No function here applies ``stabilize``: the
-tests keep the flood of ``stabilize`` and ``classes_at`` as the oracles of
-the mountain range, and the search of the upper neighbors through
-``stabilize`` as the oracle of ``destabilizes``.
+predecessor one level up.  No function here applies ``stabilize``; the
+oracles in ``tests/oracles.py`` do.  There ``mountain_range`` is checked by
+``_flood_counts``, the flood of ``stabilize`` from the generator heads, by
+``_solved_counts``, ``classes_at`` on every cell, and by
+``_apex_scan_mountain_range``, the scan of every apex on every row;
+``destabilizes`` by ``_searched_destabilizes``, the search of the upper
+neighbors through ``stabilize``; ``common_reachable`` by
+``_scanned_common_reachable``; ``_peak_rots`` by ``_sorted_peak_rots``; and
+``Classification.generators`` by ``_listed_generators``.
 
 Which generators occur depends only on where the cable slope falls relative
 to the intervals of influence of the underlying knot; cables of the trefoil

@@ -217,8 +217,9 @@ def verify_qualitative(
     stabilizations and merged by k.  Destabilization is read from the
     solved form, a constant per branch class, and both word claims from the
     two smallest collapse counts, so the n classes cost O(n) on top of the
-    classification's 2n generators (the tests search the upper neighbors
-    and replay the words through ``stabilize``).
+    classification's 2n generators (``tests/oracles.py`` searches the upper
+    neighbors, ``_searched_destabilizes``, and replays the words through
+    ``stabilize``, ``_replayed_claims``).
     ``qual2``: the transverse analogue with its exact sl bookkeeping.
     ``qual4``: for a general knot, a non-destabilizable transverse class at
     least 2n below maximal sl that merges after exactly m stabilizations

@@ -22,13 +22,7 @@ from torus_cables.legendrian import (
     classify,
     mountain_range,
 )
-from torus_cables.torus_knots import (
-    TorusKnotSpec,
-    exceptional_indices,
-    influence_interval,
-    locate,
-    tori_census,
-)
+from torus_cables.torus_knots import exceptional_indices, influence_interval, locate, tori_census
 from torus_cables.transverse import (
     classify_transverse,
     count_transverse,
@@ -36,11 +30,7 @@ from torus_cables.transverse import (
     verify_qualitative,
 )
 
-from conftest import S, grid_slopes, positive_slopes, reduced_pairs
-
-T23 = TorusKnotSpec(2, 3)
-T25 = TorusKnotSpec(2, 5)
-T34 = TorusKnotSpec(3, 4)
+from oracles import CRITERION_10_KNOTS, S, T23, T25, T34, grid_cables, grid_slopes, positive_slopes
 
 
 def report(n, text):
@@ -118,7 +108,7 @@ def test_criterion_4_figure_counts():
 
 
 def test_criterion_5_interval_disjointness():
-    for spec in (T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)):
+    for spec in CRITERION_10_KNOTS[1:]:  # the trefoil's intervals nest; checked below
         ivs = [influence_interval(spec, n) for n in sorted(exceptional_indices(spec, 50))]
         for a, b in zip(ivs, ivs[1:]):
             assert a.upper.value <= b.lower.value, (spec, a.index, b.index)
@@ -145,10 +135,7 @@ def _grid_counts(spec):
     """Per grid cable down to tb_max - 40: the largest count and the count-3
     points.  Cached, so that criteria 7a and 7b share one scan."""
     out = {}
-    for r, s in reduced_pairs(10):
-        if s == 1 and r < spec.width:
-            continue  # the cable is the knot itself; outside the formulas
-        cable = CableSpec(spec, r, s)
+    for cable in grid_cables((spec,), 10):
         cls = classify(cable)
         counts = mountain_range(cls, cls.tb_max - 40).counts
         out[cable] = (max(counts.values()), {pt for pt, c in counts.items() if c == 3})
@@ -242,19 +229,15 @@ def test_criterion_7b_count_three_at_one_symmetric_pair():
 
 def test_criterion_8_quotient_coherence():
     checked = 0
-    for spec in (T23, T25, T34):
-        for r, s in reduced_pairs(12):
-            if s == 1 and r < spec.width:
-                continue
-            cable = CableSpec(spec, r, s)
-            via_quotient = quotient_transverse(classify(cable))
-            direct = classify_transverse(cable)
-            assert via_quotient.max_sl == direct.max_sl, cable
-            assert via_quotient.simple == direct.simple, cable
-            assert [
-                (b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in via_quotient.branches
-            ] == [(b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in direct.branches], cable
-            checked += 1
+    for cable in grid_cables((T23, T25, T34), 12):
+        via_quotient = quotient_transverse(classify(cable))
+        direct = classify_transverse(cable)
+        assert via_quotient.max_sl == direct.max_sl, cable
+        assert via_quotient.simple == direct.simple, cable
+        assert [
+            (b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in via_quotient.branches
+        ] == [(b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in direct.branches], cable
+        checked += 1
     assert checked > 300
     report(8, f"quotient route == direct route on {checked} cables with |r|, s <= 12")
 
@@ -294,10 +277,9 @@ def test_criterion_9_qualitative_verifiers():
 def test_criterion_10_global_property_suite():
     start = time.monotonic()
     rng = random.Random(20260810)
-    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
     sampled = 0
     while sampled < 500:
-        spec = rng.choice(knots)
+        spec = rng.choice(CRITERION_10_KNOTS)
         r = rng.randint(-12, 12)
         s = rng.randint(1, 12)
         if r == 0 or gcd(abs(r), s) != 1:

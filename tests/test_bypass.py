@@ -13,7 +13,7 @@ from torus_cables.bypass import (
 )
 from torus_cables.farey import Slope, ccw_strictly_between, extreme_neighbors, is_edge, normalize
 
-from conftest import S, grid_slopes
+from oracles import S, grid_slopes
 
 
 def st_(d, r):

@@ -18,8 +18,7 @@ from torus_cables.cli import render_mountain, run
 from torus_cables.legendrian import CableSpec, classify, mountain_range
 from torus_cables.torus_knots import TorusKnotSpec
 
-from conftest import reduced_pairs
-from test_legendrian import _WIDE_CABLES
+from oracles import T23, T25, T34, _WIDE_CABLES, _render_by_cell, _sorted_payload, grid_cables
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text(encoding="utf-8"))
@@ -154,39 +153,9 @@ def test_mountain_golden():
     assert cols[zero_col + 1] == "5"  # +1 for the tb gutter label
 
 
-def _render_by_cell(mr):
-    # The per-cell renderer render_mountain replaced: the reference for its bytes.
-    rots = sorted({rot for rot, _ in mr.counts})
-    lo, hi = rots[0], rots[-1]
-    span = list(range(lo, hi + 1))
-    colw = max(len(str(r)) for r in span) + 1
-    gutter = max(len(str(tb)) for tb in range(mr.tb_floor, mr.tb_max + 1))
-    lines = [" " * gutter + "".join(str(r).rjust(colw) for r in span)]
-    for tb in range(mr.tb_max, mr.tb_floor - 1, -1):
-        cells = []
-        for rot in span:
-            c = mr.count(rot, tb)
-            if c == 0:
-                cells.append(".".rjust(colw))
-            elif c < 10:
-                cells.append(str(c).rjust(colw))
-            elif c < 36:
-                cells.append(chr(ord("a") + c - 10).rjust(colw))
-            else:
-                cells.append("*".rjust(colw))
-        lines.append(str(tb).rjust(gutter) + "".join(cells))
-    return "\n".join(lines)
-
-
 def test_render_mountain_matches_per_cell_reference():
-    cases = [
-        (CableSpec(spec, r, s), 20)
-        for spec in (TorusKnotSpec(2, 5), TorusKnotSpec(3, 4))
-        for r, s in reduced_pairs(6)
-        if not (s == 1 and r < spec.width)
-    ]
-    trefoil = TorusKnotSpec(2, 3)
-    cases += [(CableSpec(trefoil, 2, 25), 20), (CableSpec(trefoil, 2, 81), 30)]
+    cases = [(cable, 20) for cable in grid_cables((T25, T34), 6)]
+    cases += [(CableSpec(T23, 2, 25), 20), (CableSpec(T23, 2, 81), 30)]
     tops = []
     for cable, depth in cases:
         cls = classify(cable)
@@ -195,19 +164,6 @@ def test_render_mountain_matches_per_cell_reference():
         tops.append(max(mr.counts.values()))
     # T(2,3)_(2,25) reaches the letters (counts 10 to 35), T(2,3)_(2,81) "*" (36 up).
     assert 10 <= tops[-2] < 36 <= tops[-1]
-
-
-def _sorted_payload(cable, mr):
-    # The sort-based payload _mountain_payload replaced: the reference for its bytes.
-    return {
-        "cable": cli._cable_payload(cable),
-        "tb_floor": mr.tb_floor,
-        "tb_max": mr.tb_max,
-        "counts": [
-            {"rot": rot, "tb": tb, "count": mr.counts[(rot, tb)]}
-            for rot, tb in sorted(mr.counts, key=lambda pt: (-pt[1], pt[0]))
-        ],
-    }
 
 
 def _assert_mountain_reports_match_references(cable, depth):

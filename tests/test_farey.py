@@ -28,7 +28,7 @@ from torus_cables.farey import (
     normalize,
 )
 
-from conftest import S, grid_slopes, positive_slopes
+from oracles import S, grid_slopes, positive_slopes
 
 
 def test_normalize_examples():

@@ -1,7 +1,6 @@
 import re
 from collections import Counter
-from functools import lru_cache
-from itertools import repeat, zip_longest
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -29,22 +28,14 @@ from torus_cables.legendrian import (
     ruling_tb,
     stabilize,
 )
-from torus_cables.torus_knots import (
-    INFLUENCE_LOWER,
-    INFLUENCE_UPPER,
-    LOW_RANGE,
-    TREFOIL_BAND,
-    TorusKnotSpec,
-    locate,
-    tori_census,
-)
+from torus_cables.torus_knots import LOW_RANGE, TorusKnotSpec, tori_census
 from torus_cables.transverse import classify_transverse, quotient_transverse
 
-from conftest import S, reduced_pairs
-
-T23 = TorusKnotSpec(2, 3)
-T25 = TorusKnotSpec(2, 5)
-T34 = TorusKnotSpec(3, 4)
+from oracles import (
+    CRITERION_10_KNOTS, S, T23, T25, T34, _PEAK_CABLES, _TREFOIL_BANDS, _WIDE_CABLES, _WIDE_KNOTS,
+    _apex_scan_mountain_range, _flood_counts, _heads_in_peak_cones, _listed_generators,
+    _probe_points, _render_by_cell, _scanned_common_reachable, _searched_destabilizes,
+    _solved_counts, _sorted_peak_rots, grid_cables)
 
 
 def gens_by_id(cls):
@@ -78,17 +69,12 @@ def test_max_tb_examples():
 
 def test_max_tb_equals_classify_tb_max():
     # Criterion 10's knots; the grid holds every s = 1, r >= w cable of them.
-    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
     checked = low_s1 = 0
-    for spec in knots:
-        for r, s in reduced_pairs(30):
-            if s == 1 and r < spec.width:
-                continue
-            cable = CableSpec(spec, r, s)
-            assert max_tb(cable) == classify(cable).tb_max, cable
-            checked += 1
-            low_s1 += s == 1
-    assert low_s1 == sum(31 - spec.width for spec in knots)
+    for cable in grid_cables(CRITERION_10_KNOTS, 30):
+        assert max_tb(cable) == classify(cable).tb_max, cable
+        checked += 1
+        low_s1 += cable.s == 1
+    assert low_s1 == sum(31 - spec.width for spec in CRITERION_10_KNOTS)
     assert checked > 6000
 
 
@@ -294,49 +280,15 @@ def test_destabilizable_flag_marks_the_generators_below_tb_max():
     # On criterion 10's knots: a generator is flagged non-destabilizable
     # exactly when it sits below maximal tb, and the class model finds no
     # class one level up that stabilizes onto such a head.
-    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
     lowered = 0
-    for spec in knots:
-        for r, s in reduced_pairs(20):
-            if s == 1 and r < spec.width:
-                continue
-            cls = classify(CableSpec(spec, r, s))
-            for g in cls.generators:
-                assert g.destabilizable == (g.tb == cls.tb_max), (spec, r, s, g)
-                if g.protected and g.tb < cls.tb_max:
-                    assert not destabilizes(cls, Branch(g, 0, 0)), (spec, r, s, g)
-                    lowered += 1
+    for cable in grid_cables(CRITERION_10_KNOTS, 20):
+        cls = classify(cable)
+        for g in cls.generators:
+            assert g.destabilizable == (g.tb == cls.tb_max), (cable, g)
+            if g.protected and g.tb < cls.tb_max:
+                assert not destabilizes(cls, Branch(g, 0, 0)), (cable, g)
+                lowered += 1
     assert lowered == 756
-
-
-def _searched_destabilizes(cls, klass):
-    # The search through the upper neighbors, the oracle of destabilizes.
-    rot = klass.rot
-    tb = klass.tb
-    for sign in (1, -1):
-        for cand in classes_at(cls, rot - sign, tb + 1):
-            if stabilize(cand, sign) == klass:
-                return True
-    return False
-
-
-def _common_apexes(cls: Classification, peak_rots):
-    """The apexes ``(rot, tb)`` of the common class's downward cones: each
-    given peak rot at ``tb_max``, and each protected branch's first-collapse
-    point."""
-    for rot in peak_rots:
-        yield rot, cls.tb_max
-    for g in cls.branches:
-        yield g.rot + g.sign * (g.bound + 1), g.tb - g.bound - 1
-
-
-def _heads_in_peak_cones(cls):
-    # The invariant the common class's reading from the peaks alone rests on
-    # (common_reachable, destabilizes, mountain_range): every protected head
-    # lies in the downward cone of some peak.
-    top = cls.tb_max
-    return all(any(g.tb <= top and abs(g.rot - rot) <= top - g.tb for rot in cls.peak_rots)
-               for g in cls.branches)
 
 
 def _destabilizes_matches_search(cls, tb_floor):
@@ -355,16 +307,13 @@ def _destabilizes_matches_search(cls, tb_floor):
 def test_destabilizes_matches_search_on_grid():
     # Criterion 7a's grid, every class from tb_max down to tb_max - 8.
     classes = destabilizing = heads = 0
-    for spec in (T25, T34):
-        for r, s in reduced_pairs(10):
-            if s == 1 and r < spec.width:
-                continue
-            cls = classify(CableSpec(spec, r, s))
-            assert _heads_in_peak_cones(cls), cls.cable
-            heads += len(cls.branches)
-            seen, down = _destabilizes_matches_search(cls, cls.tb_max - 8)
-            classes += seen
-            destabilizing += down
+    for cable in grid_cables((T25, T34), 10):
+        cls = classify(cable)
+        assert _heads_in_peak_cones(cls), cls.cable
+        heads += len(cls.branches)
+        seen, down = _destabilizes_matches_search(cls, cls.tb_max - 8)
+        classes += seen
+        destabilizing += down
     assert classes == 47543
     assert heads > 0 and 0 < destabilizing < classes
 
@@ -384,38 +333,6 @@ def test_cable_rot():
     assert cable_rot(4, 7, -2, 3) == 13
 
 
-def _solved_counts(cls, tb_floor):
-    # The solved form on every cell of the band, one rot cell past the
-    # generator cones on each side.
-    counts = {}
-    for tb in range(tb_floor, cls.tb_max + 1):
-        lo = min(g.rot - (g.tb - tb) for g in cls.generators) - 1
-        hi = max(g.rot + (g.tb - tb) for g in cls.generators) + 1
-        for rot in range(lo, hi + 1):
-            c = len(classes_at(cls, rot, tb))
-            if c:
-                counts[(rot, tb)] = c
-    return counts
-
-
-def _flood_counts(cls, tb_floor):
-    # The stabilization flood of the generator heads: each level is every
-    # stabilization of the level above plus the heads at that tb, and a
-    # point's count is the number of distinct classes on it.  Keyed in
-    # (tb, rot) ascending order.
-    heads = {}
-    for g in cls.generators:
-        heads.setdefault(g.tb, set()).add(Branch(g, 0, 0) if g.protected else Common(g.rot, g.tb))
-    level, rows = set(), []
-    for tb in range(cls.tb_max, tb_floor - 1, -1):
-        level = {stabilize(c, sign) for c in level for sign in (1, -1)} | heads.get(tb, set())
-        rows.append((tb, sorted(c.rot for c in level)))
-    counts = {}
-    for tb, rots in reversed(rows):
-        counts.update(((rot, tb), n) for rot, n in Counter(rots).items())
-    return counts
-
-
 def test_counts_match_stabilization_flood():
     # mountain_range builds its rows from the solved form; the flood of
     # stabilize from the generator heads and classes_at on every cell are
@@ -433,8 +350,7 @@ def test_counts_match_stabilization_flood():
               CableSpec(T25, 3, 2), CableSpec(T25, 5, 3), CableSpec(T25, 7, 5),
               CableSpec(T34, 9, 7), CableSpec(T25, 4, 3), CableSpec(T23, 3, -2),
               CableSpec(T25, 10, 7), CableSpec(T25, 8, 9), CableSpec(T23, 7, 11)]
-    cables += [CableSpec(spec, r, s) for spec in (T25, T34) for r, s in reduced_pairs(10)
-               if not (s == 1 and r < spec.width)]  # criterion 7a's grid
+    cables += grid_cables((T25, T34), 10)  # criterion 7a's grid
     lowered = 0
     for cable in cables:
         cls = classify(cable)
@@ -446,36 +362,6 @@ def test_counts_match_stabilization_flood():
             assert got == _flood_counts(cls, floor), (cable, floor)
             assert got == {pt: c for pt, c in solved.items() if pt[1] >= floor}, (cable, floor)
     assert lowered >= 2
-
-
-# Wider than criterion 10's knots: every knot of width up to 30, and the
-# near-diagonal ones (q - p <= 2) up to width 119, whose many peaks put
-# dozens of common cones on one row.
-_WIDE_KNOTS = [
-    TorusKnotSpec(p, q)
-    for p in range(2, 120)
-    for q in range(p + 1, 123)
-    if gcd(p, q) == 1 and p * q - p - q <= 119 and (q - p <= 2 or p * q - p - q <= 30)
-]
-
-
-@lru_cache(maxsize=None)
-def _branched_cables():
-    # The cables of the test's box whose slope falls in an interval of
-    # influence or a trefoil band, the regions that carry protected
-    # branches: about one box cable in ten.
-    branched = (INFLUENCE_UPPER, INFLUENCE_LOWER, TREFOIL_BAND)
-    return [
-        (knot, r, s)
-        for knot in _WIDE_KNOTS
-        for r, s in reduced_pairs(40)
-        if 2 <= s <= 24 and locate(knot, CableSpec(knot, r, s).slope).kind in branched
-    ]
-
-
-_WIDE_CABLES = st.one_of(
-    st.tuples(st.sampled_from(_WIDE_KNOTS), st.integers(-40, 40), st.integers(2, 24)),
-    st.deferred(lambda: st.sampled_from(_branched_cables())))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -537,11 +423,9 @@ def test_runs_are_the_cells_on_grid_and_low_floors():
     # below the lowest head up to tb_max of the cables whose floors cut
     # between the top and a lower protected head: T(2,5)_(8,9)
     # (influence_lower) and T(2,3)_(7,11) (protected_k at rs - delta).
-    for spec in (T25, T34):
-        for r, s in reduced_pairs(10):
-            if not (s == 1 and r < spec.width):
-                cls = classify(CableSpec(spec, r, s))
-                _assert_runs_are_the_cells(mountain_range(cls, cls.tb_max - 40))
+    for cable in grid_cables((T25, T34), 10):
+        cls = classify(cable)
+        _assert_runs_are_the_cells(mountain_range(cls, cls.tb_max - 40))
     for cable in (CableSpec(T25, 8, 9), CableSpec(T23, 7, 11)):
         cls = classify(cable)
         lowest_head = min(g.tb for g in cls.branches)
@@ -557,49 +441,6 @@ def test_runs_are_the_cells_on_wide_knots(cable, depth):
     assume(r != 0 and gcd(abs(r), s) == 1)
     cls = classify(CableSpec(knot, r, s))
     _assert_runs_are_the_cells(mountain_range(cls, cls.tb_max - depth))
-
-
-def _apex_scan_mountain_range(cls, tb_floor):
-    # The sweep mountain_range used before the gap rule: every row scans
-    # every apex, the peaks and the branch collapse heads sorted by rot - tb,
-    # merging each cone into the last interval when it reaches it.  The
-    # oracle of the gap rule's runs and counts, their order included.
-    branches = cls.branches
-    apexes = sorted(_common_apexes(cls, cls.peak_rots), key=lambda a: a[0] - a[1])
-    counts = {}
-    runs = []
-    for tb in range(tb_floor, cls.tb_max + 1):
-        edges = []
-        lo = hi = None
-        for apex_rot, apex_tb in apexes:
-            d = apex_tb - tb
-            if d < 0:
-                continue
-            if hi is not None and apex_rot - d <= hi + 2:
-                hi = max(hi, apex_rot + d)
-                continue
-            if hi is not None:
-                edges += ((lo, 1), (hi + 2, -1))
-            lo, hi = apex_rot - d, apex_rot + d
-        if hi is not None:
-            edges += ((lo, 1), (hi + 2, -1))
-        for g in branches:
-            d = g.tb - tb
-            if d < 0:
-                continue
-            ends = (g.rot - g.sign * d, g.rot + g.sign * (2 * min(g.bound, d) - d))
-            edges += ((min(ends), 1), (max(ends) + 2, -1))
-        edges.sort()
-        row = []
-        n = 0
-        for rot, step in edges:
-            if n and rot > start:
-                row.append((start, rot, n))
-                counts.update(zip(zip(range(start, rot, 2), repeat(tb)), repeat(n)))
-            n += step
-            start = rot
-        runs.append(tuple(row))
-    return counts, tuple(runs)
 
 
 def _assert_matches_apex_scan(cls, tb_floor):
@@ -626,11 +467,9 @@ def test_mountain_range_matches_apex_scan_on_grid_and_many_peaks():
     # some open.  A gap 2g opens between depths g - 1 and g - 2, so the
     # depths h - 2, h - 1, s - h - 2 and s - h - 1 that are not negative take
     # each switch of the row's form from both sides.
-    for spec in (T25, T34):
-        for r, s in reduced_pairs(10):
-            if not (s == 1 and r < spec.width):
-                cls = classify(CableSpec(spec, r, s))
-                _assert_matches_apex_scan(cls, cls.tb_max - 15)
+    for cable in grid_cables((T25, T34), 10):
+        cls = classify(cable)
+        _assert_matches_apex_scan(cls, cls.tb_max - 15)
     cables = [CableSpec(TorusKnotSpec(71, 73), 7, 3), CableSpec(TorusKnotSpec(31, 33), -150, 7),
               CableSpec(TorusKnotSpec(11, 13), 101, 97), CableSpec(T23, 3, 152)]
     for cable in cables:
@@ -679,19 +518,16 @@ def test_oracles_catch_a_head_outside_every_peak_cone():
                    for c in classes), cable
         top = max(g.tb + abs(g.rot) for g in doctored.generators)
         assert quotient_transverse(doctored).max_sl < top, cable
-        assert any(not _renders_by_cell(mountain_range(doctored, floor))
-                   for floor in range(moved.tb, moved.tb - 21, -1)), cable
-
-
-def _renders_by_cell(mr):
-    # Whether render_mountain gives the per-cell reference's bytes; a span
-    # too narrow for some cell may instead raise ValueError.
-    from test_cli import _render_by_cell  # test_cli imports this module
-
-    try:
-        return render_mountain(mr) == _render_by_cell(mr)
-    except ValueError:
-        return False
+        # On some floor render_mountain gives other bytes than the per-cell
+        # reference, or raises ValueError on a span too narrow for a cell.
+        renders = []
+        for floor in range(moved.tb, moved.tb - 21, -1):
+            mr = mountain_range(doctored, floor)
+            try:
+                renders.append(render_mountain(mr) == _render_by_cell(mr))
+            except ValueError:
+                renders.append(False)
+        assert not all(renders), cable
 
 
 def _one_peak_per_standard_solid_torus(knots, s_min, s_max):
@@ -702,21 +538,19 @@ def _one_peak_per_standard_solid_torus(knots, s_min, s_max):
     # census refused and the regions of the checked ones.
     checked = refused = 0
     regions = Counter()
-    for spec in knots:
-        for r, s in reduced_pairs(40):
-            if not s_min <= s <= s_max or (s == 1 and r < spec.width):
-                continue
-            cable = CableSpec(spec, r, s)
-            try:
-                record = tori_census(spec, cable.slope)
-            except ValueError:
-                refused += 1
-                continue
-            cls = classify(cable)
-            assert record.standard_count == len(cls.peak_rots), cable
-            assert _heads_in_peak_cones(cls), cable
-            checked += 1
-            regions[cls.region.kind] += 1
+    for cable in grid_cables(knots, 40):
+        if not s_min <= cable.s <= s_max:
+            continue
+        try:
+            record = tori_census(cable.knot, cable.slope)
+        except ValueError:
+            refused += 1
+            continue
+        cls = classify(cable)
+        assert record.standard_count == len(cls.peak_rots), cable
+        assert _heads_in_peak_cones(cls), cable
+        checked += 1
+        regions[cls.region.kind] += 1
     return checked, refused, regions
 
 
@@ -725,8 +559,7 @@ def test_one_peak_per_standard_solid_torus():
     # classify; of the rest the census refuses the trefoil's (0, 1] and the
     # slopes below 1/w, and every cable it accepts is checked, in all six
     # regions.
-    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5),
-             TorusKnotSpec(5, 7)]
+    knots = [*CRITERION_10_KNOTS, TorusKnotSpec(5, 7)]
     checked, refused, regions = _one_peak_per_standard_solid_torus(knots, 1, 24)
     assert (checked, refused) == (7074, 900)
     assert len(regions) == 6, regions
@@ -743,16 +576,9 @@ def test_one_peak_per_standard_solid_torus_on_wide_knots():
 
 
 def test_generator_parity_everywhere():
-    for r in range(-8, 9):
-        for s in range(1, 9):
-            if r == 0 or gcd(abs(r), s) != 1:
-                continue
-            for spec in (T23, T25, T34):
-                if s == 1 and r < spec.width:
-                    continue
-                cls = classify(CableSpec(spec, r, s))
-                for g in cls.generators:
-                    assert (g.tb + g.rot) % 2 == 1
+    for cable in grid_cables((T23, T25, T34), 8):
+        for g in classify(cable).generators:
+            assert (g.tb + g.rot) % 2 == 1
 
 
 def _assert_peaks_then_branches(cls):
@@ -768,15 +594,11 @@ def _assert_peaks_then_branches(cls):
 
 
 def test_generators_are_peaks_then_branches_on_criterion_10_knots():
-    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5)]
     branched = 0
-    for spec in knots:
-        for r, s in reduced_pairs(20):
-            if s == 1 and r < spec.width:
-                continue
-            cls = classify(CableSpec(spec, r, s))
-            _assert_peaks_then_branches(cls)
-            branched += not cls.simple
+    for cable in grid_cables(CRITERION_10_KNOTS, 20):
+        cls = classify(cable)
+        _assert_peaks_then_branches(cls)
+        branched += not cls.simple
     assert branched > 100
 
 
@@ -786,23 +608,6 @@ def test_generators_are_peaks_then_branches_on_wide_knots(cable):
     knot, r, s = cable
     assume(r != 0 and gcd(abs(r), s) == 1)
     _assert_peaks_then_branches(classify(CableSpec(knot, r, s)))
-
-
-def _sorted_peak_rots(r, s, k, w):
-    # The set-and-sort listing of the peak family, the oracle of _peak_rots.
-    return sorted(
-        {sign * (r - s * k) + s * rho for rho in range(k - w, w - k + 1, 2) for sign in (1, -1)}
-    )
-
-
-def _scanned_common_reachable(cls, rot, tb):
-    # The scan of every apex cone, the oracle of common_reachable's bisection.
-    if (rot + tb) % 2 == 0:
-        return False
-    return any(
-        tb <= apex_tb and abs(rot - apex_rot) <= apex_tb - tb
-        for apex_rot, apex_tb in _common_apexes(cls, cls.peak_rots)
-    )
 
 
 # (r, s, w) with k = ceil(r/s), as classify has it: r = s*k - h with
@@ -819,22 +624,6 @@ def test_peak_rots_match_set_and_sort(r, s, w):
     rots = [rot for terms in zip_longest(*_peak_rots(r, s, w)) for rot in terms if rot is not None]
     assert rots == _sorted_peak_rots(r, s, -(-r // s), w), (r, s, w)
     assert all(a < b for a, b in zip(rots, rots[1:])), (r, s, w)
-
-
-def _probe_points(cls):
-    # Lattice points around the two end peaks, a middle peak and each
-    # branch's collapse point, a few levels above and below each.
-    rots = cls.peak_rots
-    centers = {(rot, cls.tb_max) for rot in (rots[0], rots[len(rots) // 2], rots[-1])}
-    centers |= set(_common_apexes(cls, ()))
-    return [(rot + dr, tb - dt) for rot, tb in centers for dr in range(-4, 5) for dt in range(-2, 4)]
-
-
-_PEAK_CABLES = st.one_of(
-    _WIDE_CABLES,
-    st.tuples(st.sampled_from(_WIDE_KNOTS), st.integers(-40, -1), st.integers(1, 24)),  # negative slopes
-    st.tuples(st.just(T23), st.integers(1, 30), st.integers(2, 90)),  # trefoil bands, s > r
-)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -858,25 +647,6 @@ def test_peaks_and_common_reachable_match_oracles(cable):
     for rot, tb in _probe_points(cls):
         assert common_reachable(cls, rot, tb) == _scanned_common_reachable(cls, rot, tb), (
             cls.cable, rot, tb)
-
-
-def _listed_generators(cls):
-    # The eager construction classify used before it kept the peaks as
-    # rots: one Generator per peak, at the tb and the rots computed here
-    # from the cable, then the branches.  The oracle of generators.
-    cable = cls.cable
-    r, s, w = cable.r, cable.s, cable.knot.width
-    if cls.region.kind == LOW_RANGE:
-        peaks = [Generator(PEAK, tb=bennequin_bound(cable), rot=0)]
-    else:
-        peaks = [Generator(PEAK, r * s, rot) for rot in _sorted_peak_rots(r, s, -(-r // s), w)]
-    return [*peaks, *cls.branches]
-
-
-# Trefoil cables in the bands n = s // r from 1 to 50, which carry up to 49
-# protected_l pairs.
-_TREFOIL_BANDS = st.integers(1, 12).flatmap(
-    lambda r: st.tuples(st.just(T23), st.just(r), st.integers(r + 1, 51 * r - 1)))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import torus_cables
+
+from oracles import ORACLES, UNPAIRED
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +34,38 @@ def test_all_lists_every_public_name():
     assert set(names) <= set(dir(torus_cables))
     with pytest.raises(AttributeError):
         torus_cables.no_such_name
+
+
+def test_every_public_callable_has_an_oracle_or_a_reason():
+    # Each public callable is exactly one of: a closed form registered in
+    # oracles.py with its oracles and families, an oracle registered there,
+    # or a name UNPAIRED lists under its reason.
+    oracles = {oracle for pairs in ORACLES.values() for oracle, _ in pairs}
+    unpaired = [name for _, names in UNPAIRED for name in names]
+    assert len(unpaired) == len(set(unpaired)) and set(unpaired) <= set(torus_cables.__all__)
+    for name in torus_cables.__all__:
+        obj = getattr(torus_cables, name)
+        if callable(obj):
+            paired = obj in ORACLES and all(families for _, families in ORACLES[obj])
+            assert [paired, obj in oracles, name in unpaired].count(True) == 1, name
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_test_modules_share_code_only_through_oracles():
+    # No test module imports another, and oracles.py imports none of them,
+    # function-level imports included.
+    paths = sorted((ROOT / "tests").glob("*.py"))
+    test_modules = {path.stem for path in paths if path.stem.startswith("test_")}
+    imports = [(path.name, name) for path in paths for name in _imported_modules(path)
+               if name in test_modules]
+    assert not imports, imports
 
 
 def _loaded_layers(code: str) -> list:

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from torus_cables.farey import Slope, intersect, mediant, normalize
 from torus_cables.torus_knots import (
-    INFLUENCE_LOWER,
     INFLUENCE_UPPER,
-    LOW_RANGE,
-    NEGATIVE,
-    SIMPLE_MID,
-    TREFOIL_BAND,
     TorusKnotSpec,
     exceptional_indices,
     exceptional_slope,
@@ -24,11 +19,8 @@ from torus_cables.torus_knots import (
     width,
 )
 
-from conftest import S
+from oracles import S, T23, T25, T34, _census_target_by_scan, _region_by_scan
 
-T23 = TorusKnotSpec(2, 3)
-T25 = TorusKnotSpec(2, 5)
-T34 = TorusKnotSpec(3, 4)
 T57 = TorusKnotSpec(5, 7)
 
 
@@ -93,26 +85,6 @@ def test_locate_rejects_meridian_and_longitude():
     for bad in ("0/1", "1/0"):
         with pytest.raises(ValueError):
             locate(T25, S(bad))
-
-
-def _region_by_scan(spec, slope):
-    # Independent region decision by direct interval comparisons.
-    if slope.is_negative():
-        return NEGATIVE
-    if spec.is_trefoil:
-        return TREFOIL_BAND if slope.value >= 1 else LOW_RANGE
-    w = spec.width
-    if slope.value <= exceptional_slope(spec, 1).value:
-        return LOW_RANGE
-    scaled = slope.value * w
-    bound = max(2, scaled.numerator // scaled.denominator + 2)
-    for n in sorted(exceptional_indices(spec, bound)):
-        iv = influence_interval(spec, n)
-        if iv.in_upper_half(slope):
-            return INFLUENCE_UPPER, n
-        if iv.lower.value < slope.value < iv.center.value:
-            return INFLUENCE_LOWER, n
-    return SIMPLE_MID
 
 
 def test_locate_partition_exhaustive():
@@ -264,17 +236,6 @@ def test_census_negative():
     rec = tori_census(T25, S("-2/3"))  # between -1 and -1/2, tb target -1
     assert rec.torus_count == rec.standard_count == 2 * (3 - (-2))
     assert "tb=-1" in rec.note
-
-
-def _census_target_by_scan(v):
-    # The integer t with 1/t < v < 1/(t-1); 1/0 is -infinity as the lower
-    # end and +infinity as the upper end.  None for 0 and reciprocals.
-    for t in range(-v.denominator - 1, v.denominator + 2):
-        above_lower = t == 0 or Fraction(1, t) < v
-        below_upper = t == 1 or v < Fraction(1, t - 1)
-        if above_lower and below_upper:
-            return t
-    return None
 
 
 def test_census_matches_reciprocal_scan_over_both_signs():

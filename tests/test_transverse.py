@@ -25,12 +25,8 @@ from torus_cables.transverse import (
     verify_qualitative,
 )
 
-from conftest import reduced_pairs
-from test_legendrian import _searched_destabilizes
-
-T23 = TorusKnotSpec(2, 3)
-T25 = TorusKnotSpec(2, 5)
-T34 = TorusKnotSpec(3, 4)
+from oracles import (
+    CRITERION_10_KNOTS, T23, T25, T34, _replayed_claims, _searched_destabilizes, grid_cables)
 
 
 def side_branches(t):
@@ -112,46 +108,31 @@ def test_count_bookkeeping_is_exact():
             assert count_transverse(t, min(merges)) == 1
 
 
-def _covered(spec, r, s):
-    if s == 1 and r < spec.width:
-        return False
-    return True
-
-
 def test_quotient_coherence_small():
-    for spec in (T23, T25):
-        for r, s in reduced_pairs(8):
-            if not _covered(spec, r, s):
-                continue
-            cable = CableSpec(spec, r, s)
-            a = quotient_transverse(classify(cable))
-            b = classify_transverse(cable)
-            assert a.max_sl == b.max_sl, cable
-            assert a.simple == b.simple, cable
-            assert side_branches(a) == side_branches(b), cable
+    for cable in grid_cables((T23, T25), 8):
+        a = quotient_transverse(classify(cable))
+        b = classify_transverse(cable)
+        assert a.max_sl == b.max_sl, cable
+        assert a.simple == b.simple, cable
+        assert side_branches(a) == side_branches(b), cable
 
 
 def test_quotient_route_matches_direct_route_on_wider_knots():
     # Criterion 8's comparison on eight knots with |r|, s <= 30, T(31,33) of
     # width 959 among them.  The quotient route reads its maximum from the
     # two peak ends and the branches; the direct route from bennequin_bound.
-    knots = [T23, T25, T34, TorusKnotSpec(2, 7), TorusKnotSpec(3, 5), TorusKnotSpec(4, 5),
-             TorusKnotSpec(5, 7), TorusKnotSpec(31, 33)]
+    knots = [*CRITERION_10_KNOTS, TorusKnotSpec(5, 7), TorusKnotSpec(31, 33)]
     checked = branched = 0
-    for spec in knots:
-        for r, s in reduced_pairs(30):
-            if not _covered(spec, r, s):
-                continue
-            cable = CableSpec(spec, r, s)
-            via_quotient = quotient_transverse(classify(cable))
-            direct = classify_transverse(cable)
-            assert via_quotient.max_sl == direct.max_sl, cable
-            assert via_quotient.simple == direct.simple, cable
-            assert [
-                (b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in via_quotient.branches
-            ] == [(b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in direct.branches], cable
-            checked += 1
-            branched += not direct.simple
+    for cable in grid_cables(knots, 30):
+        via_quotient = quotient_transverse(classify(cable))
+        direct = classify_transverse(cable)
+        assert via_quotient.max_sl == direct.max_sl, cable
+        assert via_quotient.simple == direct.simple, cable
+        assert [
+            (b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in via_quotient.branches
+        ] == [(b.origin, b.sl_top, b.merge_sl, b.destabilizable) for b in direct.branches], cable
+        checked += 1
+        branched += not direct.simple
     assert checked == 8562 and branched > 1000
 
 
@@ -161,20 +142,17 @@ def test_plus_branch_heads_never_destabilize():
     # first points Branch(g, 0, y) of its negative-stabilization orbit.
     # Grid of acceptance criterion 8.
     heads = 0
-    for spec in (T23, T25, T34):
-        for r, s in reduced_pairs(12):
-            if not _covered(spec, r, s):
+    for cable in grid_cables((T23, T25, T34), 12):
+        cls = classify(cable)
+        for g in cls.branches:
+            if g.sign != 1:
                 continue
-            cls = classify(CableSpec(spec, r, s))
-            for g in cls.branches:
-                if g.sign != 1:
-                    continue
-                for y in range(3):
-                    target = Branch(g, 0, y)
-                    for cand in classes_at(cls, target.rot - 1, target.tb + 1):
-                        assert stabilize(cand, 1) != target, (cls.cable, g.id, y)
-                heads += 1
-            assert not any(b.destabilizable for b in quotient_transverse(cls).side_branches)
+            for y in range(3):
+                target = Branch(g, 0, y)
+                for cand in classes_at(cls, target.rot - 1, target.tb + 1):
+                    assert stabilize(cand, 1) != target, (cls.cable, g.id, y)
+            heads += 1
+        assert not any(b.destabilizable for b in quotient_transverse(cls).side_branches)
     assert heads > 200
 
 
@@ -220,26 +198,7 @@ def test_trefoil_band_counts_match_statement():
     assert count_transverse(t, rs - r - s) == 1
 
 
-# -- the stabilization-word replay, the oracle of qual1's word claims ---------
-
-def _word_variants(classes, plus: int, minus: int):
-    out = []
-    for c in classes:
-        for _ in range(plus):
-            c = stabilize(c, 1)
-        for _ in range(minus):
-            c = stabilize(c, -1)
-        out.append(c)
-    return out
-
-
-def _replayed_claims(classes, k):
-    """qual1's two word claims, replayed through ``stabilize``: distinct under
-    every word S_+^a S_-^b with a + b < k, and merged by S_+^k."""
-    words = (_word_variants(classes, a, j - a) for j in range(0, k) for a in range(0, j + 1))
-    separated = all(len(set(variants)) == len(variants) for variants in words)
-    return separated, len(set(_word_variants(classes, k, 0))) <= 1
-
+# -- qual1's word claims against their oracle, the stabilization-word replay --
 
 def _class_lists(classes):
     """The classes at a point, and their protected branches alone, each when
@@ -257,21 +216,18 @@ def test_word_claims_match_replay_on_grid():
     # lists plus branches first, and the reversed list is the other order.
     outcomes = set()
     points = 0
-    for spec in (T25, T34):
-        for r, s in reduced_pairs(10):
-            if not _covered(spec, r, s):
+    for cable in grid_cables((T25, T34), 10):
+        cls = classify(cable)
+        for (rot, tb), count in mountain_range(cls, cls.tb_max - 40).counts.items():
+            if count < 2:
                 continue
-            cls = classify(CableSpec(spec, r, s))
-            for (rot, tb), count in mountain_range(cls, cls.tb_max - 40).counts.items():
-                if count < 2:
-                    continue
-                for classes in _class_lists(classes_at(cls, rot, tb)):
-                    for k in range(1, 9):
-                        claims = _word_claims(classes, k)
-                        assert claims == _replayed_claims(classes, k), (cls.cable, rot, tb, k)
-                        assert _word_claims(classes[::-1], k) == claims, (cls.cable, rot, tb, k)
-                        outcomes.add(claims)
-                points += 1
+            for classes in _class_lists(classes_at(cls, rot, tb)):
+                for k in range(1, 9):
+                    claims = _word_claims(classes, k)
+                    assert claims == _replayed_claims(classes, k), (cls.cable, rot, tb, k)
+                    assert _word_claims(classes[::-1], k) == claims, (cls.cable, rot, tb, k)
+                    outcomes.add(claims)
+            points += 1
     assert points > 4000
     assert len(outcomes) == 4  # both claims are seen to hold and to fail
 

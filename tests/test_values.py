@@ -30,9 +30,8 @@ from torus_cables.torus_knots import (
 )
 from torus_cables.transverse import TransverseBranch, quotient_transverse, verify_qualitative
 
-from conftest import S
+from oracles import S, T25
 
-T25 = TorusKnotSpec(2, 5)
 CLS = classify(CableSpec(T25, 7, 5))
 REPORT = verify_qualitative(T25, "qual4", 2, 3, 5)
 TCLS = quotient_transverse(CLS)
