@@ -31,7 +31,10 @@ the progressions, so their cost does not grow with the width; ``peak_rots``
 and ``generators`` expand them, on each access, for the callers that list
 every peak.  A peak needs ``tb + rot`` odd, and a progression's step ``2s``
 is even, so ``generators`` checks that parity once per progression and
-builds the peaks past ``Generator``'s own check.
+builds the peaks past ``Generator``'s own check, with ``map`` and ``zip``
+and the cyclic garbage collector paused.  The peaks hold no reference that
+could close a cycle, so no collector pass could free one, and reference
+counting frees them; the pause is process-wide for the one build.
 
 ``stabilize`` is the one transition rule of the model, and the mountain
 range is the set of lattice points its words reach.  ``classes_at`` is the
@@ -65,6 +68,8 @@ additionally carry one protected pair per integer band below the slope.
 
 from __future__ import annotations
 
+import gc
+from itertools import repeat
 from math import gcd, inf
 from operator import sub
 
@@ -266,18 +271,34 @@ class Classification:
         if ``tb_max + rot`` is odd at the first and the step is even, it is
         odd at every term.  A progression that fails raises the
         ``ValueError`` of its first failing term, as building every peak
-        would."""
+        would.
+
+        The peaks are built by ``map`` and ``zip``, with no bytecode per
+        peak, while the cyclic garbage collector is paused.  A peak holds
+        only a ``str``, ints, ``None`` and ``True``, so no collector pass
+        could free anything, and reference counting still frees every
+        peak.  The pause is process-wide and covers the one build, result
+        tuple included, so the call starts no collection.  It ends as it
+        began, also on an error: the collector is re-enabled only if it was
+        on, and then makes up the skipped passes with one gen-0 pass at the
+        next allocation."""
         tb = self.tb_max
-        gens = [None] * sum(map(len, self.peaks))
-        for i, progression in enumerate(self.peaks):
+        for progression in self.peaks:
             for rot in progression[:2]:
                 Generator(PEAK, tb, rot)
-            gens[i::len(self.peaks)] = [
-                tuple.__new__(Generator, (PEAK, tb, rot, None, None, None, True))
-                for rot in progression
-            ]
-        gens += self.branches
-        return tuple(gens)
+        gens = [None] * sum(map(len, self.peaks))
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for i, progression in enumerate(self.peaks):
+                gens[i::len(self.peaks)] = map(tuple.__new__, repeat(Generator), zip(
+                    repeat(PEAK), repeat(tb), progression,
+                    repeat(None), repeat(None), repeat(None), repeat(True)))
+            gens += self.branches
+            return tuple(gens)
+        finally:
+            if was:
+                gc.enable()
 
 
 def bennequin_bound(cable: CableSpec) -> int:

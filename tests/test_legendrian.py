@@ -1,3 +1,4 @@
+import gc
 import re
 from collections import Counter
 from itertools import zip_longest
@@ -682,3 +683,60 @@ def test_generators_check_each_peak_progression():
         message = f"tb + rot must be odd, got ({cls.tb_max}, {bad})"
         with pytest.raises(ValueError, match=re.escape(message)):
             broken.generators
+
+
+def test_generators_start_no_collection():
+    # generators builds the peaks with the cyclic collector paused: the
+    # 10,074 peaks of T(71,73)_(7,3) are far past gen 0's threshold of 700
+    # allocations, yet no collection starts until the caller allocates.
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        gens = classify(CableSpec(TorusKnotSpec(71, 73), 7, 3)).generators
+        n = len(started)
+    finally:
+        gc.callbacks.remove(hook)
+        if not was:
+            gc.disable()
+    assert len(gens) == 10074
+    assert n == 0, started
+
+
+class _Exploding(list):
+    """A progression that passes the parity check and fails mid-build."""
+
+    def __iter__(self):
+        raise RuntimeError("fails inside the pause")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generators_restore_the_collector_state(enabled):
+    # The pause ends as it began, whether the caller had the collector on
+    # or off, and whether generators returns or raises before or during
+    # the build.
+    cls = classify(CableSpec(T25, 8, 9))
+    lower, upper = cls.peaks
+    shifted = range(upper.start + 1, upper.stop + 1, upper.step)
+    odd_step = range(upper.start, upper.stop + len(upper), upper.step + 1)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cls.generators == tuple(_listed_generators(cls))
+        assert gc.isenabled() == enabled
+        for doctored, error in ((shifted, ValueError), (odd_step, ValueError),
+                                (_Exploding(upper), RuntimeError)):
+            broken = Classification(cls.cable, cls.region, cls.parameters, (lower, doctored),
+                                    cls.branches)
+            with pytest.raises(error):
+                broken.generators
+            assert gc.isenabled() == enabled, doctored
+    finally:
+        (gc.enable if was else gc.disable)()
