@@ -14,17 +14,19 @@ the parsed arguments and returns ``(payload, text)``, plus an exit code for
 dict and the text a string, or, where they grow with the answer
 (``classify``, ``mountain``, ``transverse``), each a callable that builds
 it, so only the one that is printed gets built.  ``run`` is the one
-emitter: it reports a missing argument (exit 2), turns a ValueError into
-``error: ...`` on stderr (exit 1), and prints the payload as JSON or the
-text.
+emitter: it reports a missing argument (exit 2), turns a ValueError, or a
+MemoryError from an answer too large to build, into one ``error: ...`` line
+on stderr and nothing on stdout (exit 1), and prints the payload as JSON or
+the text.
 
 A positional slope may be negative: every subcommand reads ``-3/2``, ``-3``
 and ``-.5`` as values, not options, so ``bypass front -1/2 0/1`` needs no
 ``--``.
 
-Only ``farey`` is imported with this module (argparse's ``_slope`` needs
-``Slope``); each handler imports the other layers it uses, so a command
-loads only its own layers.
+Handlers read every library name through the package (``tc.classify``),
+whose export table imports a layer on first access, so a command loads
+only its own layers.  Only ``farey`` is imported with this module, for the
+``Slope`` that argparse's ``_slope`` needs.
 """
 
 from __future__ import annotations
@@ -34,16 +36,9 @@ import contextlib
 import re
 import sys
 
-from .farey import (
-    Slope,
-    cf_expand,
-    farey_combine,
-    intersect,
-    is_edge,
-    mediant,
-    neighbors,
-    neighbors_oracle,
-)
+import torus_cables as tc
+
+from .farey import Slope
 
 # Literal copies of bypass.SIDES and transverse.SUITES, so that building the
 # parser loads neither layer; tests/test_cli.py pins them to the originals.
@@ -77,8 +72,10 @@ def _dump(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def _slope_str(s) -> object:
-    return None if s is None else str(s)
+def _fields(value) -> dict:
+    """A value's fields by name, in field order, each ``Slope`` as its string:
+    the payload of a value whose keys are its fields."""
+    return {name: str(v) if isinstance(v, Slope) else v for name, v in zip(value._fields, value)}
 
 
 def _cable_payload(cable) -> dict:
@@ -86,21 +83,10 @@ def _cable_payload(cable) -> dict:
 
 
 def classification_payload(cls) -> dict:
-    p = cls.parameters
     return {
         "cable": _cable_payload(cls.cable),
         "case": str(cls.region),
-        "parameters": {
-            "w": p.w,
-            "n": p.n,
-            "k": p.k,
-            "e_n": _slope_str(p.e_n),
-            "e_n_a": _slope_str(p.e_n_a),
-            "e_n_c": _slope_str(p.e_n_c),
-            "c": p.c,
-            "c_prime": p.c_prime,
-            "tb_max": p.tb_max,
-        },
+        "parameters": _fields(cls.parameters),
         "generators": [
             {
                 "id": g.id,
@@ -119,15 +105,7 @@ def classification_payload(cls) -> dict:
 def transverse_payload(cls, tcls) -> dict:
     payload = classification_payload(cls)
     payload["max_sl"] = tcls.max_sl
-    payload["branches"] = [
-        {
-            "origin": b.origin,
-            "sl_top": b.sl_top,
-            "destabilizable": b.destabilizable,
-            "merge_sl": b.merge_sl,
-        }
-        for b in tcls.branches
-    ]
+    payload["branches"] = [_fields(b) for b in tcls.branches]
     return payload
 
 
@@ -175,85 +153,63 @@ def render_mountain(mr) -> str:
     return b"\n".join(lines).decode()
 
 
-def _knot(spec) -> dict:
-    return {"p": spec.p, "q": spec.q}
-
-
 def _farey_neighbors(args):
     if args.den_bound is not None:
-        upper, lower = neighbors_oracle(args.a, args.den_bound)
+        upper, lower = tc.neighbors_oracle(args.a, args.den_bound)
     else:
-        upper, lower = neighbors(args.a)
+        upper, lower = tc.neighbors(args.a)
     payload = {"slope": str(args.a), "upper": str(upper), "lower": str(lower)}
     return payload, f"upper {upper}, lower {lower}"
 
 
 def _farey_cf(args):
-    cf = cf_expand(args.a)
+    cf = tc.cf_expand(args.a)
     return {"slope": str(args.a), "coefficients": list(cf.coeffs)}, str(cf)
 
 
 def _farey_mediant(args):
-    m = mediant(args.a, args.b)
+    m = tc.mediant(args.a, args.b)
     return {"a": str(args.a), "b": str(args.b), "mediant": str(m)}, str(m)
 
 
 def _farey_combine(args):
-    c = farey_combine(args.a, args.b, args.m, args.n)
+    c = tc.farey_combine(args.a, args.b, args.m, args.n)
     payload = {"a": str(args.a), "b": str(args.b), "m": args.m, "n": args.n, "result": str(c)}
     return payload, str(c)
 
 
 def _farey_edge(args):
-    res = is_edge(args.a, args.b)
+    res = tc.is_edge(args.a, args.b)
     return {"a": str(args.a), "b": str(args.b), "edge": res}, "edge" if res else "no edge"
 
 
 def _farey_intersect(args):
-    v = intersect(args.a, args.b)
+    v = tc.intersect(args.a, args.b)
     return {"a": str(args.a), "b": str(args.b), "intersection": v}, str(v)
 
 
 def _bypass(args):
-    from .bypass import TorusState, attach_bypass, attach_bypass_oracle
-
-    state = TorusState(dividing=args.dividing, ruling=args.ruling)
+    state = tc.TorusState(dividing=args.dividing, ruling=args.ruling)
     if args.den_bound is not None:
-        result = attach_bypass_oracle(state, args.side, args.den_bound)
+        result = tc.attach_bypass_oracle(state, args.side, args.den_bound)
     else:
-        result = attach_bypass(state, args.side)
-    payload = {
-        "dividing": str(args.dividing),
-        "ruling": str(args.ruling),
-        "side": args.side,
-        "new_dividing": str(result),
-    }
+        result = tc.attach_bypass(state, args.side)
+    payload = {**_fields(state), "side": args.side, "new_dividing": str(result)}
     return payload, f"new dividing slope {result}"
 
 
 def _tori_census(args):
-    from .torus_knots import TorusKnotSpec, tori_census
-
-    spec = TorusKnotSpec(*args.pq)
-    rec = tori_census(spec, args.slope)
-    payload = {
-        "knot": _knot(spec),
-        "slope": str(args.slope),
-        "torus_count": rec.torus_count,
-        "standard_count": rec.standard_count,
-        "dividing_curve_pairs": rec.dividing_curve_pairs,
-        "note": rec.note,
-    }
+    spec = tc.TorusKnotSpec(*args.pq)
+    rec = tc.tori_census(spec, args.slope)
+    payload = {"knot": _fields(spec), "slope": str(args.slope), **_fields(rec)}
     return payload, f"{rec.torus_count} tori, {rec.standard_count} standard; {rec.note}"
 
 
 def _tori_profile(args):
-    from .torus_knots import TorusKnotSpec, nonthickenable_profile
-
-    spec = TorusKnotSpec(*args.pq)
-    prof = nonthickenable_profile(spec, args.k)
+    spec = tc.TorusKnotSpec(*args.pq)
+    prof = tc.nonthickenable_profile(spec, args.k)
     payload = {
-        "knot": _knot(spec),
+        "knot": _fields(spec),
         "k": prof.index,
         "n_k": prof.n_k,
         "dividing_curves": prof.dividing_curves,
@@ -264,12 +220,10 @@ def _tori_profile(args):
 
 
 def _tori_locate(args):
-    from .torus_knots import TorusKnotSpec, locate
-
-    spec = TorusKnotSpec(*args.pq)
-    region = locate(spec, args.slope)
+    spec = tc.TorusKnotSpec(*args.pq)
+    region = tc.locate(spec, args.slope)
     payload = {
-        "knot": _knot(spec),
+        "knot": _fields(spec),
         "slope": str(args.slope),
         "region": region.kind,
         "index": region.index,
@@ -278,12 +232,10 @@ def _tori_locate(args):
 
 
 def _tori_interval(args):
-    from .torus_knots import TorusKnotSpec, influence_interval
-
-    spec = TorusKnotSpec(*args.pq)
-    iv = influence_interval(spec, args.n)
+    spec = tc.TorusKnotSpec(*args.pq)
+    iv = tc.influence_interval(spec, args.n)
     payload = {
-        "knot": _knot(spec),
+        "knot": _fields(spec),
         "n": iv.index,
         "e_n": str(iv.center),
         "e_n_a": str(iv.upper),
@@ -293,33 +245,24 @@ def _tori_interval(args):
 
 
 def _tori_width(args):
-    from .torus_knots import TorusKnotSpec, width
-
-    spec = TorusKnotSpec(*args.pq)
-    w = width(spec)
-    return {"knot": _knot(spec), "width": w}, str(w)
+    spec = tc.TorusKnotSpec(*args.pq)
+    w = tc.width(spec)
+    return {"knot": _fields(spec), "width": w}, str(w)
 
 
 def _tori_indices(args):
-    from .torus_knots import TorusKnotSpec, exceptional_indices
-
-    spec = TorusKnotSpec(*args.pq)
-    idx = sorted(exceptional_indices(spec, args.bound))
-    payload = {"knot": _knot(spec), "bound": args.bound, "indices": idx}
+    spec = tc.TorusKnotSpec(*args.pq)
+    idx = sorted(tc.exceptional_indices(spec, args.bound))
+    payload = {"knot": _fields(spec), "bound": args.bound, "indices": idx}
     return payload, " ".join(str(i) for i in idx)
 
 
 def _cable(args):
-    from .legendrian import CableSpec
-    from .torus_knots import TorusKnotSpec
-
-    return CableSpec(TorusKnotSpec(*args.pq), *args.rs)
+    return tc.CableSpec(tc.TorusKnotSpec(*args.pq), *args.rs)
 
 
 def _classify(args):
-    from .legendrian import classify
-
-    cls = classify(_cable(args))
+    cls = tc.classify(_cable(args))
 
     def text():
         p = cls.parameters
@@ -342,21 +285,15 @@ def _classify(args):
 
 
 def _mountain(args):
-    from .legendrian import classify, mountain_range
-
-    cls = classify(_cable(args))
-    mr = mountain_range(cls, args.tb_floor)
+    cls = tc.classify(_cable(args))
+    mr = tc.mountain_range(cls, args.tb_floor)
     return lambda: _mountain_payload(cls.cable, mr), lambda: render_mountain(mr)
 
 
 def _transverse(args):
-    from .legendrian import classify
-    from .torus_knots import INFLUENCE_LOWER
-    from .transverse import TOP_CHAIN, count_transverse, quotient_transverse
-
     cable = _cable(args)
-    cls = classify(cable)
-    tcls = quotient_transverse(cls)
+    cls = tc.classify(cable)
+    tcls = tc.quotient_transverse(cls)
 
     def text():
         lines = [
@@ -364,41 +301,28 @@ def _transverse(args):
             f"max sl {tcls.max_sl}, transversely simple {str(tcls.simple).lower()}",
         ]
         for b in tcls.branches:
-            if b.origin == TOP_CHAIN:
+            if b.origin == tc.transverse.TOP_CHAIN:
                 lines.append(f"  top chain from sl {b.sl_top}")
             else:
                 kind = "destabilizable" if b.destabilizable else "non-destabilizable"
                 lines.append(f"  branch {b.origin}: sl {b.sl_top}, {kind}, merges at sl {b.merge_sl}")
-        if cls.region.kind == INFLUENCE_LOWER:
+        if cls.region.kind == tc.torus_knots.INFLUENCE_LOWER:
             lines.append("  note: branch sl follows tb - rot of its generator; the uniform closed form "
-                         f"r*s + r - s*w would sit 2*{intersect(cable.slope, cls.parameters.e_n)} higher")
+                         f"r*s + r - s*w would sit 2*{tc.intersect(cable.slope, cls.parameters.e_n)} higher")
         if args.sl_floor is not None:
             for sl in range(tcls.max_sl, args.sl_floor - 1, -2):
-                lines.append(f"  sl {sl}: {count_transverse(tcls, sl)} classes")
+                lines.append(f"  sl {sl}: {tc.count_transverse(tcls, sl)} classes")
         return "\n".join(lines)
 
     return lambda: transverse_payload(cls, tcls), text
 
 
 def _verify(args):
-    from .torus_knots import TorusKnotSpec
-    from .transverse import verify_qualitative
-
-    spec = TorusKnotSpec(*args.pq)
-    report = verify_qualitative(spec, args.suite, args.k, args.m, args.n)
-    payload = {
-        "suite": report.suite,
-        "knot": _knot(spec),
-        "k": report.k,
-        "m": report.m,
-        "n": report.n,
-        "cable": {"r": report.cable.r, "s": report.cable.s},
-        "claims": [
-            {"description": c.description, "passed": c.passed, "detail": c.detail}
-            for c in report.claims
-        ],
-        "passed": report.passed,
-    }
+    spec = tc.TorusKnotSpec(*args.pq)
+    report = tc.verify_qualitative(spec, args.suite, args.k, args.m, args.n)
+    payload = _fields(report)  # update keeps each key in its field's place
+    payload.update(knot=_fields(spec), cable={"r": report.cable.r, "s": report.cable.s},
+                   claims=[_fields(c) for c in report.claims], passed=report.passed)
     lines = [f"suite {report.suite} on {spec} with k={report.k} m={report.m} "
              f"n={report.n}: cable ({report.cable.r},{report.cable.s})"]
     for c in report.claims:
@@ -511,10 +435,14 @@ def run(argv=None, out=None, err=None) -> int:
         payload, text, *code = handler(args)
         shown = payload if args.json else text
         shown = shown() if callable(shown) else shown
+        shown = _dump(shown) if args.json else shown + "\n"
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 1
-    out.write(_dump(shown) if args.json else shown + "\n")
+    except MemoryError:
+        err.write("error: the answer does not fit in memory\n")
+        return 1
+    out.write(shown)
     return code[0] if code else 0
 
 

@@ -34,7 +34,9 @@ is even, so ``generators`` checks that parity once per progression and
 builds the peaks past ``Generator``'s own check, with ``map`` and ``zip``
 and the cyclic garbage collector paused.  The peaks hold no reference that
 could close a cycle, so no collector pass could free one, and reference
-counting frees them; the pause is process-wide for the one build.
+counting frees them; the pause is process-wide for the one build, so a
+``gc.disable()`` that another thread makes during it is undone when the
+build ends.
 
 ``stabilize`` is the one transition rule of the model, and the mountain
 range is the set of lattice points its words reach.  ``classes_at`` is the
@@ -281,7 +283,9 @@ class Classification:
         tuple included, so the call starts no collection.  It ends as it
         began, also on an error: the collector is re-enabled only if it was
         on, and then makes up the skipped passes with one gen-0 pass at the
-        next allocation."""
+        next allocation.  The state is the one read at entry, and it is the
+        process's, not the thread's: a ``gc.disable()`` that another thread
+        makes during the build is undone when the build ends."""
         tb = self.tb_max
         for progression in self.peaks:
             for rot in progression[:2]:

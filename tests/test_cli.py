@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from torus_cables import bypass, cli, transverse
 from torus_cables.cli import render_mountain, run
-from torus_cables.legendrian import CableSpec, classify, mountain_range
+from torus_cables.legendrian import CableSpec, Classification, classify, mountain_range
 from torus_cables.torus_knots import TorusKnotSpec
 
 from oracles import T23, T25, T34, _WIDE_CABLES, _render_by_cell, _sorted_payload, grid_cables
@@ -235,6 +235,25 @@ def test_exit_codes():
     assert code == 2
     code, _, _ = invoke("tori", "census", "--pq", "2,3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--pq", "2,5", "--rs", "7,5"),
+    ("classify", "--pq", "2,5", "--rs", "7,5", "--json"),
+    ("transverse", "--pq", "2,5", "--rs", "7,5", "--json"),
+    ("mountain", "--pq", "2,5", "--rs", "7,5", "--tb-floor", "20"),
+], ids=" ".join)
+def test_an_answer_too_large_for_memory_exits_1_on_one_line(argv, monkeypatch):
+    # On T(1000001,1000003)_(7,3) these commands run out of memory listing
+    # the peaks; a property that raises stands in, so nothing is allocated.
+    def out_of_memory(self):
+        raise MemoryError
+
+    for name in ("generators", "peak_rots"):
+        monkeypatch.setattr(Classification, name, property(out_of_memory))
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_parser_choices_copy_the_layer_constants():

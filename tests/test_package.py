@@ -88,6 +88,14 @@ def test_each_command_loads_only_its_layers():
     assert _layers_after("farey", "neighbors", "355/113", "--json") == {"farey", "cli"}
     assert _layers_after("bypass", "front", "2/3", "1/0") == {"farey", "bypass", "cli"}
     assert _layers_after("tori", "width", "--pq", "2,5") == {"farey", "torus_knots", "cli"}
+    for argv in (("farey", "cf", "4/3"), ("farey", "mediant", "2/3", "1/1"),
+                 ("farey", "combine", "2/3", "1/1", "2", "1"), ("farey", "edge", "1/2", "2/3"),
+                 ("farey", "intersect", "3/2", "2/3")):
+        assert _layers_after(*argv) == {"farey", "cli"}, argv
+    for argv in (("tori", "census", "--pq", "2,5", "--slope", "3/4"), ("tori", "profile", "--pq", "2,5", "--k", "3"),
+                 ("tori", "locate", "--pq", "2,5", "--slope", "3/4"), ("tori", "interval", "--pq", "2,5", "--n", "2"),
+                 ("tori", "indices", "--pq", "2,5", "--bound", "8", "--json")):
+        assert _layers_after(*argv) == {"farey", "torus_knots", "cli"}, argv
     for argv in (("classify", "--pq", "2,5", "--rs", "7,5"),
                  ("mountain", "--pq", "2,5", "--rs", "7,5", "--tb-floor", "20", "--json")):
         assert _layers_after(*argv) == {"farey", "torus_knots", "legendrian", "cli"}, argv
