@@ -107,8 +107,6 @@ class Slope:
             raise ValueError("slope must be normalized with den >= 0")
         if self.den == 0 and self.num != 1:
             raise ValueError("infinite slope must be normalized to 1/0")
-        if (self.num, self.den) == (0, 0):
-            raise ValueError("0/0 is not a slope")
         if gcd(abs(self.num), self.den) != 1 and self.den != 0:
             raise ValueError(f"slope {self.num}/{self.den} is not reduced")
 
@@ -279,8 +277,6 @@ def neighbors_oracle(u: Slope, den_bound: int) -> tuple:
 def mediant(a: Slope, b: Slope) -> Slope:
     """Componentwise sum of two slopes, normalized."""
     n, d = a.num + b.num, a.den + b.den
-    if (n, d) == (0, 0):
-        raise ValueError(f"mediant of {a} and {b} degenerates to 0/0")
     return normalize(n, d)
 
 
@@ -292,8 +288,6 @@ def farey_combine(a: Slope, b: Slope, m: int, n: int) -> Slope:
         raise ValueError(f"{a} and {b} do not share a tessellation edge")
     num = m * a.num + n * b.num
     den = m * a.den + n * b.den
-    if (num, den) == (0, 0):
-        raise ValueError("combination degenerates to 0/0")
     return normalize(num, den)
 
 

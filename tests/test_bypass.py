@@ -69,19 +69,6 @@ def test_result_is_edge_on_the_arc():
                     assert ccw_strictly_between(new, dividing, ruling)
 
 
-def test_oracle_equivalence_quick():
-    slopes = grid_slopes(8)
-    for dividing in slopes:
-        for ruling in slopes:
-            if dividing == ruling:
-                continue
-            state = TorusState(dividing, ruling)
-            for side in (FRONT, BACK):
-                assert attach_bypass(state, side) == attach_bypass_oracle(state, side, 40), (
-                    f"mismatch at dividing={dividing} ruling={ruling} side={side}"
-                )
-
-
 @given(
     st.tuples(st.integers(-9, 9), st.integers(0, 9)).filter(lambda t: t != (0, 0)),
     st.tuples(st.integers(-9, 9), st.integers(0, 9)).filter(lambda t: t != (0, 0)),

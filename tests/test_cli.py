@@ -30,70 +30,6 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# Golden examples; the README shows exactly these invocations.
-def test_farey_neighbors_golden():
-    code, out, _ = invoke("farey", "neighbors", "5/3")
-    assert code == 0 and out == "upper 2/1, lower 3/2\n"
-
-
-def test_farey_cf_golden():
-    code, out, _ = invoke("farey", "cf", "4/3")
-    assert code == 0 and out == "[2; 2, 2]\n"
-
-
-def test_farey_mediant_and_intersect():
-    code, out, _ = invoke("farey", "mediant", "2/3", "1/1")
-    assert code == 0 and out == "3/4\n"
-    code, out, _ = invoke("farey", "intersect", "3/2", "2/3")
-    assert code == 0 and out == "5\n"
-    code, out, _ = invoke("farey", "combine", "2/3", "1/1", "2", "1")
-    assert code == 0 and out == "5/7\n"
-
-
-def test_farey_neighbors_oracle_flag():
-    code, out, _ = invoke("farey", "neighbors", "5/3", "--den-bound", "50")
-    assert code == 0 and out == "upper 2/1, lower 3/2\n"
-
-
-def test_bypass_golden():
-    code, out, _ = invoke("bypass", "front", "1/2", "0/1")
-    assert code == 0 and out == "new dividing slope 1/3\n"
-    code, out, _ = invoke("bypass", "back", "1/2", "0/1", "--den-bound", "30")
-    assert code == 0 and out == "new dividing slope 1/1\n"
-
-
-def test_tori_census_golden():
-    code, out, _ = invoke("tori", "census", "--pq", "2,3", "--slope", "7/2")
-    assert code == 0
-    assert out.startswith("6 tori, 2 standard;")
-
-
-def test_tori_other_actions():
-    code, out, _ = invoke("tori", "width", "--pq", "3,4")
-    assert code == 0 and out == "5\n"
-    code, out, _ = invoke("tori", "indices", "--pq", "2,5", "--bound", "8")
-    assert code == 0 and out == "2 4 5 7 8\n"
-    code, out, _ = invoke("tori", "interval", "--pq", "2,5", "--n", "2")
-    assert code == 0 and out == "e = 2/3, upper 1/1, lower 1/2\n"
-    code, out, _ = invoke("tori", "locate", "--pq", "2,5", "--slope", "3/4")
-    assert code == 0 and out == "influence_upper(2)\n"
-    code, out, _ = invoke("tori", "profile", "--pq", "2,5", "--k", "3")
-    assert code == 0 and "6 dividing curves" in out
-
-
-def test_classify_json_golden():
-    code, out, _ = invoke("classify", "--pq", "2,3", "--rs", "2,3", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["parameters"]["tb_max"] == 6
-    assert doc["simple"] is False
-    peaks = [g for g in doc["generators"] if g["id"].startswith("peak")]
-    assert sorted(g["rot"] for g in peaks) == [-1, 1]
-    ks = [g for g in doc["generators"] if g["id"].startswith("protected_k")]
-    assert sorted((g["tb"], g["rot"]) for g in ks) == [(5, -2), (5, 2)]
-    assert all(g["destabilizable"] is False for g in ks)
-
-
 def test_json_round_trip_stability():
     for argv in (
         ("classify", "--pq", "2,5", "--rs", "3,2", "--json"),
@@ -141,18 +77,6 @@ def test_no_floats_in_json():
     walk(doc)
 
 
-def test_mountain_golden():
-    code, out, _ = invoke("mountain", "--pq", "2,3", "--rs", "2,5", "--tb-floor", "4")
-    assert code == 0
-    lines = out.splitlines()
-    header = lines[0].split()
-    row5 = next(l for l in lines[1:] if l.split()[0] == "5")
-    cols = row5.split()
-    # '5' sits in the rot 0 column of the tb 5 row
-    zero_col = header.index("0")
-    assert cols[zero_col + 1] == "5"  # +1 for the tb gutter label
-
-
 def test_render_mountain_matches_per_cell_reference():
     cases = [(cable, 20) for cable in grid_cables((T25, T34), 6)]
     cases += [(CableSpec(T23, 2, 25), 20), (CableSpec(T23, 2, 81), 30)]
@@ -187,26 +111,6 @@ def test_mountain_reports_match_references_on_a_wide_cable():
     _assert_mountain_reports_match_references(CableSpec(TorusKnotSpec(11, 13), 101, 97), 20)
 
 
-def test_transverse_text():
-    code, out, _ = invoke("transverse", "--pq", "2,3", "--rs", "2,3")
-    assert code == 0
-    assert "max sl 7" in out
-    assert "sl 3, non-destabilizable, merges at sl 1" in out
-
-
-def test_transverse_lower_note_and_counts():
-    code, out, _ = invoke("transverse", "--pq", "2,5", "--rs", "5,3", "--sl-floor", "5")
-    assert code == 0
-    assert "note:" in out
-    assert "sl 9: 2 classes" in out
-
-
-def test_verify_text_and_exit():
-    code, out, _ = invoke("verify", "--suite", "qual1", "--k", "2", "--m", "1", "--n", "3")
-    assert code == 0
-    assert out.count("PASS") == 5 and "FAIL" not in out
-
-
 def test_verify_qual1_at_large_k_exits_zero():
     code, out, _ = invoke("verify", "--suite", "qual1", "--k", "10000", "--m", "1", "--n", "4")
     assert code == 0
@@ -220,21 +124,12 @@ def test_verify_qual1_at_large_n_exits_zero():
 
 
 def test_exit_codes():
-    code, _, err = invoke("classify", "--pq", "2,4", "--rs", "2,3")
-    assert code == 1 and err.startswith("error:")
-    code, _, err = invoke("classify", "--pq", "2,5", "--rs", "2,1")
-    assert code == 1
-    code, _, _ = invoke("mountain", "--pq", "2,3", "--rs", "2,3", "--tb-floor", "9")
+    # The two argvs the golden corpus lacks.
+    code, _, _ = invoke("classify", "--pq", "2,5", "--rs", "2,1")
     assert code == 1
     # The oracle's scan finds no candidate: 2/9 has no edge to an integer.
     code, out, err = invoke("bypass", "front", "2/9", "0/1", "--den-bound", "1")
     assert (code, out, err) == (1, "", "error: no candidate on the arc; raise den_bound\n")
-    code, _, _ = invoke("nonsense")
-    assert code == 2
-    code, _, err = invoke("farey", "mediant", "2/3")
-    assert code == 2
-    code, _, _ = invoke("tori", "census", "--pq", "2,3")
-    assert code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -317,6 +212,19 @@ def test_golden_corpus(case, monkeypatch):
         for name in ("_check_qual1", "_check_qual2", "_check_qual4"):
             monkeypatch.setattr(transverse, name, _fail_last_claim(getattr(transverse, name)))
     assert invoke(*case["argv"]) == (case["code"], case["out"], case["err"])
+
+
+def test_golden_corpus_covers_every_command():
+    # The corpus is the one byte check of each command's output: every
+    # COMMANDS entry needs an exit-0 case in text and in --json.
+    covered = set()
+    for case in GOLDEN:
+        command, *rest = case["argv"]
+        if case["code"] == 0:
+            op = rest[0] if (command, None) not in cli.COMMANDS else None
+            covered.add((command, op, "--json" in rest))
+    missing = {(*key, as_json) for key in cli.COMMANDS for as_json in (False, True)} - covered
+    assert not missing, missing
 
 
 def _readme_examples():

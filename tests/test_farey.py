@@ -63,6 +63,7 @@ def test_cf_expand_examples():
     assert cf_expand(S("5/3")).coeffs == (2, 3)
     assert cf_expand(S("4/3")).coeffs == (2, 2, 2)
     assert cf_expand(S("7/1")).coeffs == (7,)
+    assert str(cf_expand(S("7/1"))) == "[7]"
 
 
 def test_cf_expand_rejects_nonpositive():
@@ -102,13 +103,6 @@ def test_neighbors_oracle_examples():
     assert neighbors_oracle(S("5/3"), 10) == (S("2/1"), S("3/2"))
     assert neighbors_oracle(S("1/2"), 10) == (S("1/1"), S("0/1"))
     assert neighbors_oracle(S("4/3"), 10) == (S("3/2"), S("1/1"))
-
-
-def test_neighbor_edge_and_mediant_identities():
-    for u in positive_slopes(20, 20):
-        upper, lower = neighbors(u)
-        assert is_edge(u, upper) and is_edge(u, lower) and is_edge(upper, lower)
-        assert mediant(upper, lower) == u
 
 
 def test_extreme_neighbors_of_every_finite_slope():
@@ -260,6 +254,10 @@ def test_ccw_between():
     # wrap through infinity and the negatives
     assert ccw_strictly_between(S("-1/2"), S("2/1"), S("1/3"))
     assert not ccw_strictly_between(S("1/2"), S("2/1"), S("1/3"))
+    # the arc is open at both ends, which must differ
+    assert not ccw_strictly_between(S("0/1"), S("0/1"), S("1/1"))
+    with pytest.raises(ValueError):
+        ccw_strictly_between(S("1/2"), S("1/1"), S("1/1"))
 
 
 def test_slope_value_and_floor():

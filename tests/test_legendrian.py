@@ -192,6 +192,8 @@ def test_stabilize_examples():
     assert stabilize(Common(0, 5), 1) == Common(1, 4)
     with pytest.raises(ValueError):
         stabilize(b, 0)
+    with pytest.raises(TypeError):
+        stabilize((0, 5), 1)
 
 
 def test_same_class_examples():
@@ -326,6 +328,12 @@ def test_divide_and_ruling_tb():
     assert ruling_tb(3, 2, S("1/1"), 2) == 4
     with pytest.raises(ValueError):
         ruling_tb(3, 2, S("2/3"), 1)
+    with pytest.raises(ValueError):
+        ruling_tb(2, 4, S("1/1"))
+    with pytest.raises(ValueError):
+        ruling_tb(3, 2, S("1/1"), 0)
+    with pytest.raises(ValueError):
+        divide_tb(2, 4)
 
 
 def test_cable_rot():

@@ -129,18 +129,6 @@ def test_locate_matches_scan_on_wide_knots(case):
         assert region.kind == expected
 
 
-def test_disjointness_quick():
-    for spec in (T25, T34):
-        ivs = [influence_interval(spec, n) for n in sorted(exceptional_indices(spec, 20))]
-        for a, b in zip(ivs, ivs[1:]):
-            assert a.upper.value <= b.lower.value, (a, b)
-    # trefoil: nested, each upper end infinite
-    ivs = [influence_interval(T23, n) for n in range(2, 12)]
-    for a, b in zip(ivs, ivs[1:]):
-        assert a.lower.value < b.lower.value
-        assert a.upper.is_infinite and b.upper.is_infinite
-
-
 def _slopes_in(lo, hi, max_den, closed=False):
     out = []
     for den in range(1, max_den + 1):
@@ -196,16 +184,6 @@ def test_nonthickenable_profile_examples():
     for spec in (T23, T25, T34):
         prof = nonthickenable_profile(spec, 1)
         assert (prof.n_k, prof.dividing_curves, prof.torus_count) == (1, 2, 1)
-
-
-def test_census_examples():
-    rec = tori_census(T23, S("7/2"))
-    assert (rec.torus_count, rec.standard_count) == (6, 2)
-    rec = tori_census(T25, S("2/5"))
-    assert (rec.torus_count, rec.standard_count) == (2, 2)
-    rec = tori_census(T25, S("1/2"))
-    assert (rec.torus_count, rec.standard_count) == (2, 2)
-    assert "tb=2" in rec.note
 
 
 def test_census_influence_consistency():
@@ -271,14 +249,19 @@ def test_census_matches_reciprocal_scan_over_both_signs():
 def test_thickening_outcome_examples():
     out = thickening_outcome(T25, S("3/4"), 1, inside_index=2)
     assert out.kind == "thickens_partial" and out.limit == S("2/3")
+    assert str(out) == "thickens to slope 2/3 (index 2) but no further"
     out = thickening_outcome(T25, S("-1/2"), 1, inside_index=2)
     assert out.kind == "thickens_to_max"
     out = thickening_outcome(T25, S("1/1"), 1, inside_index=3)
     assert out.kind == "thickens_to_max"
     out = thickening_outcome(T25, S("2/3"), 1, inside_index=2)
-    assert out.kind == "non_thickenable"
+    assert out.kind == "non_thickenable" and str(out) == "non-thickenable"
     out = thickening_outcome(T25, S("1/1"), 3, inside_index=3)
     assert out.kind == "non_thickenable"
+    # inside N_k with k == 1 or gcd(w, k) > 1 (w = 3), no interval of influence traps the slope
+    for dividing, k in ((S("2/1"), 3), (S("-1/1"), 1)):
+        out = thickening_outcome(T25, dividing, 1, inside_index=k)
+        assert str(out) == "thickens to the standard neighborhood of the maximal-tb representative"
     # trefoil: band slopes trapped, negative and infinite slopes escape
     out = thickening_outcome(T23, S("7/2"), 1, inside_index=3)
     assert out.kind == "thickens_partial" and out.limit == S("3/1")
@@ -295,6 +278,12 @@ def test_thickening_outcome_rejects():
         thickening_outcome(T25, S("2/3"), 1)  # exceptional slope needs context
     with pytest.raises(ValueError):
         thickening_outcome(T25, S("0/1"), 1)
+    with pytest.raises(ValueError):
+        thickening_outcome(T25, S("3/4"), 0, inside_index=2)
+    with pytest.raises(ValueError):
+        thickening_outcome(T25, S("3/4"), 1, inside_index=0)
+    with pytest.raises(ValueError):
+        thickening_outcome(T25, S("1/1"), 4, inside_index=3)  # more curves than N_3 carries
 
 
 def test_thickening_outcome_without_context():
