@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from functools import lru_cache
 
-from .farey import Slope, ccw_strictly_between, circular_key, edge_slopes, extreme_neighbors, frozen
+from .farey import Slope, ccw_strictly_between, circular_key, edge_slopes, frozen, neighbor_terms
 
 FRONT = "front"
 BACK = "back"
@@ -49,22 +49,22 @@ def _first_neighbor_ccw_after(s: Slope, r: Slope) -> Slope:
     if s.is_infinite:
         # Neighbors of the infinite slope are the integer slopes.
         return Slope(r.num // r.den + 1, 1)
-    upper, lower = extreme_neighbors(s)
+    p, q, a, b = s.num, s.den, r.num, r.den
+    x, y, lx, ly = neighbor_terms(p, q)  # upper x/y, lower lx/ly
     # Signs of s - r, lower - r and upper - r for a finite r = a/b; an
     # infinite r fails both tests below and falls through to lower.
-    p, q, a, b = s.num, s.den, r.num, r.den
     d = p * b - a * q
-    lo = lower.num * b - a * lower.den
-    hi = upper.num * b - a * upper.den
+    lo = lx * b - a * ly
+    hi = x * b - a * y
     if d > 0 and lo <= 0:
         # lower <= r < s: the first k with lower + k*s above r.
         k = -lo // d + 1
-        return Slope(lower.num + k * p, lower.den + k * q)
+        return Slope(lx + k * p, ly + k * q)
     if d < 0 and hi > 0:
         # s < r < upper: the last k with upper + k*s above r.
         k = (hi - 1) // -d
-        return Slope(upper.num + k * p, upper.den + k * q)
-    return lower
+        return Slope(x + k * p, y + k * q)
+    return Slope(lx, ly)
 
 
 def attach_bypass(state: TorusState, side: str) -> Slope:

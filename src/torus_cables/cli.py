@@ -135,11 +135,12 @@ def render_mountain(mr) -> str:
     as all dots, and each run of ``mr.runs`` writes its glyph into every
     second column from its start to its stop with one slice assignment, so
     a row costs one step per run, not per cell.  The floor row spans every
-    row (see ``MountainRange``), so the span is read from it alone."""
+    row (see ``MountainRange``), so the span is read from it alone.  The
+    rot -> -rot mirror makes the span symmetric, ``hi == -lo``, so the
+    widest label is ``lo``'s, which carries the sign."""
     floor = mr.runs[0]
     lo, hi = floor[0][0], floor[-1][1] - 2  # a run's stop is one step past its last rot
-    # The widest label of a range of integers sits at one of its ends.
-    colw = max(len(str(lo)), len(str(hi))) + 1
+    colw = len(str(lo)) + 1
     gutter = max(len(str(mr.tb_floor)), len(str(mr.tb_max)))
     lines = [(" " * gutter + (f"%{colw}d" * (hi - lo + 1)) % tuple(range(lo, hi + 1))).encode()]
     dots = (b" " * (colw - 1) + b".") * (hi - lo + 1)
@@ -246,7 +247,7 @@ def _tori_interval(args):
 
 def _tori_width(args):
     spec = tc.TorusKnotSpec(*args.pq)
-    w = tc.width(spec)
+    w = spec.width
     return {"knot": _fields(spec), "width": w}, str(w)
 
 

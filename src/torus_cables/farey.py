@@ -6,6 +6,14 @@ stands for the infinite slope.  Two slopes are joined by an edge of the
 Farey tessellation exactly when their pairing ``|num_a*den_b - num_b*den_a|``
 equals one.
 
+The two extreme neighbors of a finite slope ``p/q``, its Farey parents,
+come from one modular inverse: :func:`neighbor_terms` gives them as four
+integers, and :func:`extreme_neighbors` builds them as slopes.  Three
+callers read the integers alone, since they only compare or pair a slope
+with a neighbor: ``torus_knots.locate`` decides both half-interval tests,
+``bypass`` walks the neighbor families from them, and
+``transverse.classify_transverse`` takes its intersection numbers.
+
 The circular order used throughout the package places 0 at the start,
 positive slopes increasing counterclockwise through the infinite slope, and
 the negative slopes continuing from -infinity back around to 0.
@@ -215,18 +223,30 @@ def cf_eval(cf: ContinuedFraction) -> Slope:
     return normalize(num, den)
 
 
+def neighbor_terms(p: int, q: int) -> tuple:
+    """The extreme neighbors of a reduced finite slope ``p/q`` (``q >= 1``)
+    as ``(upper.num, upper.den, lower.num, lower.den)``.
+
+    With ``y = (-p^-1) mod q`` the upper neighbor is ``x/y``,
+    ``x = (p*y + 1)/q``, so ``q*x - p*y == 1`` and ``0 <= y < q``; ``y == 0``
+    exactly when ``q == 1``, and then the upper neighbor is ``1/0``.  The
+    lower neighbor is ``p/q`` minus the upper, componentwise.
+    """
+    y = -pow(p, -1, q) % q
+    x = (p * y + 1) // q
+    return x, y, p - x, q - y
+
+
 def extreme_neighbors(s: Slope) -> tuple:
     """:func:`neighbors` for every finite slope, negative and 0/1 included.
 
     Every other neighbor of ``s`` is ``upper + k*s`` or ``lower + k*s``
     (componentwise) for some k >= 1.
     """
-    if s.is_infinite:
+    if s.den == 0:  # s.is_infinite, without a property call on this hot path
         raise ValueError("the infinite slope has no extreme neighbors")
-    p, q = s.num, s.den
-    y = -pow(p, -1, q) % q
-    upper = Slope((p * y + 1) // q, y) if y else INFINITY
-    return upper, Slope(p - upper.num, q - upper.den)
+    x, y, lx, ly = neighbor_terms(s.num, s.den)
+    return Slope(x, y) if y else INFINITY, Slope(lx, ly)
 
 
 def neighbors(u: Slope) -> tuple:
@@ -235,9 +255,7 @@ def neighbors(u: Slope) -> tuple:
     Returns ``(upper, lower)``: the largest slope above ``u`` sharing an edge
     with it (infinite when ``u`` is an integer) and the smallest slope below.
     ``u`` is the mediant of the two, and they share an edge with each other.
-    Closed form, for ``u = p/q``: with ``y = (-p^-1) mod q``,
-    ``upper = ((p*y + 1)/q) / y`` (infinite when ``q == 1``) and
-    ``lower = u - upper`` componentwise.
+    The closed form is :func:`neighbor_terms`.
     """
     if not u.is_positive():
         raise ValueError(f"neighbors are defined for positive slopes, got {u}")

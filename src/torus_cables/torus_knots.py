@@ -17,6 +17,7 @@ from .farey import (
     Slope,
     ccw_strictly_between,
     frozen,
+    neighbor_terms,
     neighbors,
     normalize,
 )
@@ -116,6 +117,10 @@ class Region:
         return f"{self.kind}({self.index})"
 
 
+# The regions without an index, one value each.
+_NEGATIVE, _LOW_RANGE, _SIMPLE_MID = Region(NEGATIVE), Region(LOW_RANGE), Region(SIMPLE_MID)
+
+
 def locate(spec: TorusKnotSpec, slope: Slope) -> Region:
     """Classify a finite nonzero slope into its region.
 
@@ -128,27 +133,32 @@ def locate(spec: TorusKnotSpec, slope: Slope) -> Region:
     integer index is exceptional and the intervals are nested, so positive
     slopes >= 1 are tagged by the integer band [n, n+1) they fall in,
     ``n = floor(a/b)``.
+
+    Both half tests compare ``a/b`` with a neighbor of ``n/w`` or
+    ``(n+1)/w`` read as integers from :func:`~torus_cables.farey.neighbor_terms`,
+    so the call builds no slope and no interval, only the ``Region`` it
+    returns; the three regions without an index are one shared value each.
     """
-    if slope.is_infinite or slope.num == 0:
-        raise ValueError("cable slopes must be finite and nonzero")
     a, b = slope.num, slope.den
+    if b == 0 or a == 0:
+        raise ValueError("cable slopes must be finite and nonzero")
     if a < 0:
-        return Region(NEGATIVE)
+        return _NEGATIVE
     if spec.is_trefoil:
-        return Region(TREFOIL_BAND, a // b) if a >= b else Region(LOW_RANGE)
+        return Region(TREFOIL_BAND, a // b) if a >= b else _LOW_RANGE
     w = spec.width
     if a * w <= b:
-        return Region(LOW_RANGE)
+        return _LOW_RANGE
     n = a * w // b
     if n >= 2 and gcd(n, w) == 1:
-        upper = influence_interval(spec, n).upper  # 1/0 passes too: a*0 < 1*b
-        if a * upper.den < upper.num * b:
+        x, y, _, _ = neighbor_terms(n, w)  # the upper neighbor x/y of n/w
+        if a * y < x * b:
             return Region(INFLUENCE_UPPER, n)
     if gcd(n + 1, w) == 1:
-        lower = influence_interval(spec, n + 1).lower
-        if lower.num * b < a * lower.den:
+        _, _, x, y = neighbor_terms(n + 1, w)  # the lower neighbor x/y of (n+1)/w
+        if x * b < a * y:
             return Region(INFLUENCE_LOWER, n + 1)
-    return Region(SIMPLE_MID)
+    return _SIMPLE_MID
 
 
 @frozen

@@ -22,7 +22,7 @@ from __future__ import annotations
 from heapq import nsmallest
 from math import gcd
 
-from .farey import farey_combine, frozen, intersect
+from .farey import farey_combine, frozen, neighbor_terms
 from .legendrian import (
     CableSpec,
     Classification,
@@ -82,17 +82,16 @@ def quotient_transverse(cls: Classification) -> TransverseClassification:
     """Transverse classes as negative-stabilization orbits of the model.
 
     The maximal self-linking number is the largest ``tb + |rot|`` over the
-    generators.  The peaks all sit at ``tb_max``, and of their progressions
-    the lower holds the lowest rot and the upper the highest, so the largest
-    ``|rot|`` among them is ``-peaks[0][0]`` or ``peaks[-1][-1]``.  Every
-    protected head lies in a peak's downward cone, ``|g.rot - peak| <=
-    tb_max - g.tb``, so ``g.tb + |g.rot| <= tb_max + |peak|`` and no branch
-    exceeds the end peaks: the maximum is read from those two alone, in O(1)
-    of the width.
+    generators.  The peaks all sit at ``tb_max``, and the last progression
+    holds the highest rot.  The rot -> -rot mirror maps the peaks onto
+    themselves, so the lowest rot is its negative and the largest ``|rot|``
+    is ``peaks[-1][-1]`` alone.  Every protected head lies in a peak's
+    downward cone, ``|g.rot - peak| <= tb_max - g.tb``, so
+    ``g.tb + |g.rot| <= tb_max + |peak|`` and no branch exceeds the end
+    peaks: the maximum is read from the last peak, in O(1) of the width.
     """
     # Read off the peaks rather than bennequin_bound, so the routes stay independent.
-    peaks = cls.peaks
-    top_sl = cls.tb_max + max(-peaks[0][0], peaks[-1][-1])
+    top_sl = cls.tb_max + cls.peaks[-1][-1]
     branches = [TransverseBranch(TOP_CHAIN, top_sl, destabilizable=False)]
     for g in cls.branches:
         if g.sign != 1:
@@ -140,12 +139,14 @@ def classify_transverse(cable: CableSpec) -> TransverseClassification:
             branches.append(("protected_k:+", rs + r - s - 2 * delta, rs - r - s))
     elif region.kind in (INFLUENCE_UPPER, INFLUENCE_LOWER):
         n = region.index
-        iv = influence_interval(knot, n)
-        depth = intersect(cable.slope, iv.upper)  # stabilizations until the merge
+        # The pairings of the slope s/r (r > 0 here) with the upper neighbor
+        # x/y of e_n = n/w and with e_n itself.
+        x, y, _, _ = neighbor_terms(n, w)
+        depth = abs(s * y - x * r)  # stabilizations until the merge
         if region.kind == INFLUENCE_UPPER:
             sl_top = rs + r - s * w
         else:
-            pair_center = intersect(cable.slope, iv.center)
+            pair_center = abs(s * w - n * r)
             sl_top = (rs - pair_center) - r * (n - 1)
             depth -= pair_center
         branches.append(("protected_k:+", sl_top, sl_top - 2 * depth))
@@ -160,12 +161,17 @@ def classify_transverse(cable: CableSpec) -> TransverseClassification:
 
 
 def count_transverse(tcls: TransverseClassification, sl: int) -> int:
-    """Number of transverse classes with the given self-linking number."""
+    """Number of transverse classes with the given self-linking number.
+
+    Self-linking numbers are odd, so after the parity test on ``max_sl`` a
+    branch needs no test of its own: each ``sl_top`` has the parity of
+    ``max_sl``.
+    """
     if (tcls.max_sl - sl) % 2:
         return 0
     count = 1 if sl <= tcls.max_sl else 0
     for b in tcls.side_branches:
-        if b.merge_sl + 2 <= sl <= b.sl_top and (b.sl_top - sl) % 2 == 0:
+        if b.merge_sl + 2 <= sl <= b.sl_top:
             count += 1
     return count
 

@@ -151,7 +151,8 @@ oracle_of(transverse.quotient_transverse, grid_cables)(transverse.classify_trans
 
 # -- torus_knots.locate --------------------------------------------------------
 
-@oracle_of(locate, "reduced slopes of denominator <= 40 on T(2,5), T(3,4)", "_knots_and_slopes")
+@oracle_of(locate, "reduced slopes of denominator <= 40 on T(2,5), T(3,4)", "_knots_and_slopes",
+           "_huge_knots_near_exceptional")
 def _region_by_scan(spec, slope):
     # Independent region decision by direct interval comparisons.
     if slope.is_negative():

@@ -4,7 +4,7 @@ import pkgutil
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import torus_cables
@@ -23,6 +23,7 @@ from torus_cables.farey import (
     intersect,
     is_edge,
     mediant,
+    neighbor_terms,
     neighbors,
     neighbors_oracle,
     normalize,
@@ -133,6 +134,21 @@ def test_extreme_neighbors_of_every_finite_slope():
             assert in_family, (s, t)
     with pytest.raises(ValueError):
         extreme_neighbors(INFINITY)
+
+
+@given(st.integers(1, 10**12), st.integers(-10**12, 10**12))
+@example(1, 3)  # 3/1, whose upper neighbor is 1/0
+@example(1, 0)  # 0/1
+@settings(derandomize=True)
+def test_neighbor_terms_are_the_farey_parents_at_huge_denominators(q, p):
+    # The solutions of q*x - p*y == 1 are (x + k*p, y + k*q); 0 <= y < q picks
+    # one, and with the lower term p/q - x/y that pins both Farey parents.
+    assume(math.gcd(p, q) == 1)
+    x, y, lx, ly = neighbor_terms(p, q)
+    assert q * x - p * y == 1
+    assert (x + lx, y + ly) == (p, q)
+    assert 0 <= y < q
+    assert lx * q < p * ly and p * y < x * q  # lower < p/q < upper, 1/0 included
 
 
 def test_neighbors_rejects_nonpositive():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,37 @@ def _knots_and_slopes(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_knots_and_slopes())
 def test_locate_matches_scan_on_wide_knots(case):
+    spec, slope = case
+    region = locate(spec, slope)
+    expected = _region_by_scan(spec, slope)
+    if isinstance(expected, tuple):
+        assert (region.kind, region.index) == expected
+    else:
+        assert region.kind == expected
+
+
+@st.composite
+def _huge_knots_near_exceptional(draw):
+    # p, q up to 10^6 (w up to about 10^12), and a slope within 1/(w*m) of
+    # n/w for n <= 60, where the first intervals of influence sit.  The
+    # halves of an interval are 1/(w*y) and 1/(w*(w-y)) wide for the upper
+    # neighbor x/y of n/w, so m is drawn from 2 to 4w to reach inside both
+    # and past them.  Drawn uniformly from a generator seeded by the draw,
+    # since hypothesis' own integers crowd at the small end.
+    rnd = Random(draw(st.integers(0, 2**64)))
+    p = rnd.randint(2, 10**6 - 1)
+    q = rnd.randint(p + 1, 10**6)
+    while gcd(p, q) != 1:
+        q = rnd.randint(p + 1, 10**6)
+    spec = TorusKnotSpec(p, q)
+    w = spec.width
+    n, m, d = rnd.randint(1, 60), rnd.randint(2, 4 * w), rnd.randint(-1, 1)
+    return spec, normalize(n * m + d, w * m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_huge_knots_near_exceptional())
+def test_locate_matches_scan_at_huge_widths(case):
     spec, slope = case
     region = locate(spec, slope)
     expected = _region_by_scan(spec, slope)
