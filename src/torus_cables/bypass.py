@@ -34,9 +34,10 @@ class TorusState:
     dividing: Slope
     ruling: Slope
 
-    def __post_init__(self):
-        if self.dividing == self.ruling:
+    def __new__(cls, dividing, ruling):
+        if dividing == ruling:
             raise ValueError("ruling slope must differ from the dividing slope")
+        return tuple.__new__(cls, (dividing, ruling))
 
 
 def _check(side: str) -> None:

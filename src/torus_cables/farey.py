@@ -72,7 +72,7 @@ class _Value(tuple):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+    def __getnewargs__(self):  # copy and pickle rebuild, and check, through __new__
         return tuple(self)
 
 
@@ -80,14 +80,18 @@ def frozen(cls):
     """Rebuild an annotated class as an immutable tuple of its fields.
 
     It behaves as under ``@dataclass(frozen=True)``: the annotations, in
-    order, are the fields and class-level values their defaults;
-    ``__post_init__`` checks run on construction; the repr reads
-    ``Name(field=value, ...)``; a value equals only a value of its own class
-    with equal fields, and hashes as the tuple of its fields.  Attributes
-    cannot be set or deleted, and ordering, ``+`` and ``*`` raise
-    ``TypeError``.  ``collections.namedtuple`` supplies the constructor,
-    with keywords and defaults, and the field accessors; a class that
-    normalizes its fields defines ``__new__`` itself.
+    order, are the fields and class-level values their defaults; the repr
+    reads ``Name(field=value, ...)``; a value equals only a value of its own
+    class with equal fields, and hashes as the tuple of its fields.
+    Attributes cannot be set or deleted, and ordering, ``+`` and ``*`` raise
+    ``TypeError``.  ``collections.namedtuple`` supplies the field accessors,
+    and the constructor, with keywords and defaults, of a type without an
+    invariant.  A type with an invariant defines ``__new__`` itself: it
+    checks (or normalizes) its arguments, with any defaults in its own
+    signature, and returns ``tuple.__new__(cls, (...))``.  That one path
+    runs on positional and keyword construction, ``dataclasses.replace``,
+    ``copy`` and unpickling.  There is no post-init hook: ``__new__`` is
+    the only place a check runs.
     """
     ns = dict(cls.__dict__)
     names = tuple(ns["__annotations__"])
@@ -97,9 +101,6 @@ def frozen(cls):
     ns.update({n: fields.__dict__[n] for n in names}, __slots__=(), _fields=names)
     for name in ("__new__", "__repr__"):
         ns.setdefault(name, fields.__dict__[name])
-    check = ns.pop("__post_init__", None)
-    if check is not None:
-        ns["__init__"] = lambda self, *args, **kwargs: check(self)
     return type(cls.__name__, (_Value,), ns)
 
 
@@ -110,13 +111,14 @@ class Slope:
     num: int
     den: int
 
-    def __post_init__(self):
-        if self.den < 0:
+    def __new__(cls, num, den):
+        if den < 0:
             raise ValueError("slope must be normalized with den >= 0")
-        if self.den == 0 and self.num != 1:
+        if den == 0 and num != 1:
             raise ValueError("infinite slope must be normalized to 1/0")
-        if gcd(abs(self.num), self.den) != 1 and self.den != 0:
-            raise ValueError(f"slope {self.num}/{self.den} is not reduced")
+        if gcd(num, den) != 1 and den != 0:
+            raise ValueError(f"slope {num}/{den} is not reduced")
+        return tuple.__new__(cls, (num, den))
 
     @property
     def is_infinite(self) -> bool:
@@ -175,19 +177,23 @@ def normalize(num: int, den: int) -> Slope:
 class ContinuedFraction:
     """Minus-sign continued fraction a0 - 1/(a1 - 1/(... - 1/an)).
 
-    Only canonical expansions exist: a0 >= 1 and ai >= 2 afterwards, the
-    form :func:`cf_expand` produces.
+    Only canonical expansions exist: integer coefficients, a0 >= 1 and
+    ai >= 2 afterwards, the form :func:`cf_expand` produces.  An integral
+    coefficient of another type, such as ``2.0``, is stored as its int.
     """
 
     coeffs: tuple
 
     def __new__(cls, coeffs):
-        cs = tuple(int(c) for c in coeffs)
+        given = tuple(coeffs)
+        cs = tuple(map(int, given))
+        if cs != given:
+            raise ValueError(f"continued fraction coefficients must be integers, got {given}")
         if not cs:
             raise ValueError("continued fraction needs at least one coefficient")
         if cs[0] < 1:
             raise ValueError("leading coefficient must be >= 1")
-        if any(c < 2 for c in cs[1:]):
+        if min(cs[1:], default=2) < 2:
             raise ValueError("coefficients after the first must be >= 2")
         return tuple.__new__(cls, (cs,))
 

@@ -132,16 +132,17 @@ class Generator:
     kind: str
     tb: int
     rot: int
-    sign: int | None = None
-    index: int | None = None
-    bound: int | None = None
-    destabilizable: bool = True
+    sign: int | None
+    index: int | None
+    bound: int | None
+    destabilizable: bool
 
-    def __post_init__(self):
-        if (self.tb + self.rot) % 2 == 0:
-            raise ValueError(f"tb + rot must be odd, got ({self.tb}, {self.rot})")
-        if self.kind != PEAK and (self.sign not in (1, -1) or self.bound is None or self.bound < 0):
+    def __new__(cls, kind, tb, rot, sign=None, index=None, bound=None, destabilizable=True):
+        if (tb + rot) % 2 == 0:
+            raise ValueError(f"tb + rot must be odd, got ({tb}, {rot})")
+        if kind != PEAK and (sign not in (1, -1) or bound is None or bound < 0):
             raise ValueError("protected branches need a sign and a nonnegative bound")
+        return tuple.__new__(cls, (kind, tb, rot, sign, index, bound, destabilizable))
 
     @property
     def protected(self) -> bool:
@@ -173,11 +174,12 @@ class Branch:
     x: int
     y: int
 
-    def __post_init__(self):
-        if self.x < 0 or self.y < 0:
+    def __new__(cls, gen, x, y):
+        if x < 0 or y < 0:
             raise ValueError("stabilization counts must be nonnegative")
-        if self.x > self.gen.bound:
+        if x > gen.bound:
             raise ValueError("x exceeds the protection bound")
+        return tuple.__new__(cls, (gen, x, y))
 
     @property
     def tb(self) -> int:

@@ -37,11 +37,12 @@ class TorusKnotSpec:
     p: int
     q: int
 
-    def __post_init__(self):
-        if not (self.q > self.p > 1):
+    def __new__(cls, p, q):
+        if not (q > p > 1):
             raise ValueError("need q > p > 1")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError("p and q must be coprime")
+        return tuple.__new__(cls, (p, q))
 
     @property
     def width(self) -> int:
@@ -194,9 +195,10 @@ class CensusRecord:
     dividing_curve_pairs: int
     note: str
 
-    def __post_init__(self):
-        if self.standard_count > self.torus_count:
+    def __new__(cls, torus_count, standard_count, dividing_curve_pairs, note):
+        if standard_count > torus_count:
             raise ValueError("standard_count cannot exceed torus_count")
+        return tuple.__new__(cls, (torus_count, standard_count, dividing_curve_pairs, note))
 
 
 def tori_census(spec: TorusKnotSpec, slope: Slope) -> CensusRecord:

@@ -53,13 +53,14 @@ class TransverseBranch:
     origin: str
     sl_top: int
     destabilizable: bool
-    merge_sl: int | None = None
+    merge_sl: int | None
 
-    def __post_init__(self):
-        if self.sl_top % 2 == 0:
+    def __new__(cls, origin, sl_top, destabilizable, merge_sl=None):
+        if sl_top % 2 == 0:
             raise ValueError("self-linking numbers are odd")
-        if self.merge_sl is not None and self.merge_sl > self.sl_top - 2:
+        if merge_sl is not None and merge_sl > sl_top - 2:
             raise ValueError("merge depth must sit strictly below the branch top")
+        return tuple.__new__(cls, (origin, sl_top, destabilizable, merge_sl))
 
 
 @frozen

@@ -7,8 +7,9 @@ Usage, from the root of a checkout::
 
 For each entry the runner copies the checkout to a fresh temporary
 directory, applies the entry's exact-string substitution (which must match
-exactly once), and runs ``pytest -x -q -p no:cacheprovider`` on the test
-files of the layers the catalogue touches.  A failing run kills the mutant.
+exactly once), and runs ``pytest -x -q -p no:cacheprovider`` on the value
+tests and the test files of the layers the catalogue touches.  A failing
+run kills the mutant.
 The unmutated copy runs first and must pass, so that a broken suite cannot
 read as a kill.  The checkout itself is never written.
 
@@ -30,8 +31,10 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
-TESTS = ("tests/test_farey.py", "tests/test_torus_knots.py", "tests/test_bypass.py",
-         "tests/test_transverse.py")
+# test_values.py, the fastest file, goes first: it kills the constructor
+# checks' mutants in about a second under -x.
+TESTS = ("tests/test_values.py", "tests/test_farey.py", "tests/test_torus_knots.py",
+         "tests/test_bypass.py", "tests/test_transverse.py")
 
 # (file, old text, new text, what the mutant breaks)
 CATALOGUE = (
@@ -43,6 +46,14 @@ CATALOGUE = (
      "bypass: a ruling slope on the lower neighbor is left to the fall-through"),
     ("src/torus_cables/farey.py", "return x, y, p - x, q - y", "return x, y, p - x, q - y + 1",
      "neighbor_terms: the lower neighbor's denominator off by one"),
+    ("src/torus_cables/farey.py", "if gcd(num, den) != 1 and den != 0:", "if False:",
+     "Slope: an unreduced slope such as 3/9 is accepted"),
+    ("src/torus_cables/legendrian.py", "if (tb + rot) % 2 == 0:", "if False:",
+     "Generator: a generator with tb + rot even is accepted"),
+    ("src/torus_cables/legendrian.py", "if x > gen.bound:", "if x > gen.bound + 1:",
+     "Branch: x one past the protection bound is accepted"),
+    ("src/torus_cables/transverse.py", "merge_sl > sl_top - 2:", "merge_sl > sl_top:",
+     "TransverseBranch: a branch may merge at its own top"),
 )
 
 

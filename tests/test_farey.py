@@ -81,7 +81,7 @@ def test_cf_eval_examples():
 
 
 def test_continued_fraction_is_canonical_only():
-    for coeffs in ((2, 2, 1), (0,), (2, 0), ()):
+    for coeffs in ((2, 2, 1), (0,), (2, 0), (), (3, 2.5), ("3", 2)):
         with pytest.raises(ValueError):
             ContinuedFraction(coeffs)
 

@@ -1,6 +1,7 @@
 """Value semantics of every class the layers build with ``farey.frozen``:
 the behaviour ``@dataclass(frozen=True)`` gave them, on one instance each."""
 
+import copy
 import importlib
 import pickle
 from dataclasses import fields, replace
@@ -67,7 +68,7 @@ INVALID = {
     TorusKnotSpec: ({"q": 4},),
     CensusRecord: ({"standard_count": 99},),
     CableSpec: ({"r": 0},),
-    Generator: ({"sign": None},),
+    Generator: ({"sign": None}, {"tb": CLS.branches[0].tb + 1}),
     Branch: ({"x": -1}, {"x": CLS.branches[0].bound + 1}),
     TransverseBranch: ({"sl_top": 4}, {"merge_sl": TCLS.branches[-1].sl_top}),
 }
@@ -119,6 +120,13 @@ def test_value_semantics(x):
     for change in INVALID.get(type(x), ()):
         with pytest.raises(ValueError):
             replace(x, **change)
+        # A doctored value, built past the constructor, is checked again on
+        # every route back through it.
+        doctored = tuple.__new__(type(x), tuple(change.get(n, v) for n, v in zip(names, values)))
+        with pytest.raises(ValueError):
+            copy.copy(doctored)
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(doctored))
 
 
 def test_types_never_compare_equal_across_classes():
