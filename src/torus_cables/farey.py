@@ -8,11 +8,12 @@ equals one.
 
 The two extreme neighbors of a finite slope ``p/q``, its Farey parents,
 come from one modular inverse: :func:`neighbor_terms` gives them as four
-integers, and :func:`extreme_neighbors` builds them as slopes.  Three
-callers read the integers alone, since they only compare or pair a slope
-with a neighbor: ``torus_knots.locate`` decides both half-interval tests,
-``bypass`` walks the neighbor families from them, and
-``transverse.classify_transverse`` takes its intersection numbers.
+integers, and :func:`neighbors` builds them as slopes.  The other callers
+read the integers alone, since they only compare or pair a slope with a
+neighbor: ``torus_knots.locate`` and ``torus_knots.thickening_outcome``
+decide their half-interval tests, ``bypass`` walks the neighbor families
+from them, and ``transverse.classify_transverse`` takes its intersection
+numbers.
 
 The circular order used throughout the package places 0 at the start,
 positive slopes increasing counterclockwise through the infinite slope, and
@@ -23,15 +24,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-
-
-def _fraction(num: int, den: int):
-    # Rebinds itself to fractions.Fraction on the first call, so that only a
-    # caller that asks for a numeric value pays for importing fractions.
-    global _fraction
-    from fractions import Fraction as _fraction
-
-    return _fraction(num, den)
 
 
 # -- immutable value types ----------------------------------------------------
@@ -129,7 +121,11 @@ class Slope:
         """Numeric value as a Fraction; raises for the infinite slope."""
         if self.den == 0:
             raise ValueError("infinite slope has no numeric value")
-        return _fraction(self.num, self.den)
+        # Imported here, so that only a caller that asks for a value pays for
+        # it; a plain ``import`` costs a tenth of ``from fractions import``.
+        import fractions
+
+        return fractions.Fraction(self.num, self.den)
 
     def is_positive(self) -> bool:
         return self.den > 0 and self.num > 0
@@ -243,18 +239,6 @@ def neighbor_terms(p: int, q: int) -> tuple:
     return x, y, p - x, q - y
 
 
-def extreme_neighbors(s: Slope) -> tuple:
-    """:func:`neighbors` for every finite slope, negative and 0/1 included.
-
-    Every other neighbor of ``s`` is ``upper + k*s`` or ``lower + k*s``
-    (componentwise) for some k >= 1.
-    """
-    if s.den == 0:  # s.is_infinite, without a property call on this hot path
-        raise ValueError("the infinite slope has no extreme neighbors")
-    x, y, lx, ly = neighbor_terms(s.num, s.den)
-    return Slope(x, y) if y else INFINITY, Slope(lx, ly)
-
-
 def neighbors(u: Slope) -> tuple:
     """The two extreme tessellation neighbors of a finite positive slope.
 
@@ -265,7 +249,8 @@ def neighbors(u: Slope) -> tuple:
     """
     if not u.is_positive():
         raise ValueError(f"neighbors are defined for positive slopes, got {u}")
-    return extreme_neighbors(u)
+    x, y, lx, ly = neighbor_terms(u.num, u.den)
+    return Slope(x, y) if y else INFINITY, Slope(lx, ly)
 
 
 def edge_slopes(s: Slope, den_bound: int) -> list:

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .farey import (
-    Slope,
-    ccw_strictly_between,
-    frozen,
-    neighbor_terms,
-    neighbors,
-    normalize,
-)
+from .farey import Slope, frozen, neighbor_terms, neighbors, normalize
 
 LOW_RANGE = "low_range"
 SIMPLE_MID = "simple_mid"
@@ -85,15 +78,6 @@ class InfluenceInterval:
     center: Slope
     upper: Slope
     lower: Slope
-
-    def in_upper_half(self, slope: Slope) -> bool:
-        """slope lies in the half-open interval I = [center, upper)."""
-        if slope.is_infinite:
-            return False
-        v = slope.value
-        if v < self.center.value:
-            return False
-        return self.upper.is_infinite or v < self.upper.value
 
 
 def influence_interval(spec: TorusKnotSpec, n: int) -> InfluenceInterval:
@@ -284,10 +268,23 @@ def thickening_outcome(
     slope alone.  Without it, only slopes outside every upper-half interval
     of influence are decidable (they thicken maximally), and ambiguous
     inputs are rejected.
+
+    With it, both placements of ``dividing = a/b`` against ``k/w`` are
+    integer comparisons, as in :func:`locate`.  The interior slopes of the
+    containing torus run counterclockwise from ``k/w`` to the meridian
+    ``0/1``: that arc holds every slope but those in ``[0, k/w]``, so with
+    ``0/1`` already rejected and ``k/w`` itself allowed, a slope cannot sit
+    inside exactly when ``0 < a/b < k/w``, that is when it is positive and
+    ``a*w < k*b``.  A slope other than ``k/w`` lies in the upper half
+    ``[k/w, x/y)`` of the k-th interval of influence exactly when it is
+    positive and ``a*y < x*b``, with the upper neighbor ``x/y`` read from
+    :func:`~torus_cables.farey.neighbor_terms`; for the trefoil ``y == 0``
+    and every positive slope passes.
     """
     if curve_pairs < 1:
         raise ValueError("curve_pairs must be a positive integer")
-    if dividing.num == 0:
+    a, b = dividing.num, dividing.den
+    if a == 0:
         raise ValueError("the meridian is not a valid dividing slope")
     w = spec.width
     if inside_index is None:
@@ -296,9 +293,8 @@ def thickening_outcome(
     if k < 1:
         raise ValueError("inside_index must be a positive integer")
     e_k = exceptional_slope(spec, k)
-    # Interior slopes of the containing torus run counterclockwise from its
-    # dividing slope to the meridian.
-    if dividing != e_k and not ccw_strictly_between(dividing, e_k, Slope(0, 1)):
+    positive = a > 0 and b > 0
+    if positive and a * w < k * b:
         raise ValueError(
             f"inconsistent input: slope {dividing} cannot sit inside a torus of slope {e_k}"
         )
@@ -313,8 +309,8 @@ def thickening_outcome(
         )
     if k == 1 or n_k > 1:
         return ThickeningOutcome(THICKENS_TO_MAX)
-    iv = influence_interval(spec, k)
-    if iv.in_upper_half(dividing):
+    x, y, _, _ = neighbor_terms(k, w)  # the upper neighbor x/y of k/w
+    if positive and a * y < x * b:
         return ThickeningOutcome(THICKENS_PARTIAL, index=k, limit=e_k)
     return ThickeningOutcome(THICKENS_TO_MAX)
 

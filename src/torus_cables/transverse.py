@@ -392,10 +392,16 @@ def _check_qual4(cable: CableSpec, k: int, m: int, n: int) -> list:
     side = tcls.side_branches
     _claim(claims, "exactly one non-destabilizable transverse branch", len(side) == 1
            and not side[0].destabilizable, f"found {len(side)}")
-    branch = side[0]
+    below = f"its self-linking number is at least 2*{n} below the maximum"
+    merge = f"it must be stabilized exactly {m} times to merge with the top chain"
+    if len(side) != 1:  # "it" names no branch, so both claims about it fail
+        _claim(claims, below, False, f"found {len(side)}")
+        _claim(claims, merge, False, f"found {len(side)}")
+        return claims
+    (branch,) = side
     _claim(
         claims,
-        f"its self-linking number is at least 2*{n} below the maximum",
+        below,
         branch.sl_top <= tcls.max_sl - 2 * n,
         f"sl {branch.sl_top} vs max {tcls.max_sl}",
     )
@@ -404,7 +410,7 @@ def _check_qual4(cable: CableSpec, k: int, m: int, n: int) -> list:
     merges = count_transverse(tcls, branch.sl_top - 2 * m) == 1
     _claim(
         claims,
-        f"it must be stabilized exactly {m} times to merge with the top chain",
+        merge,
         stays and merges and branch.merge_sl == branch.sl_top - 2 * m,
         f"merge at {branch.merge_sl}",
     )

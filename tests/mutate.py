@@ -42,6 +42,12 @@ CATALOGUE = (
      "locate: the upper half [n/w, upper) takes its open end"),
     ("src/torus_cables/torus_knots.py", "if x * b < a * y:", "if x * b <= a * y:",
      "locate: the lower half (lower, (n+1)/w) takes its open end"),
+    ("src/torus_cables/torus_knots.py", "if positive and a * y < x * b:",
+     "if positive and a * y <= x * b:",
+     "thickening_outcome: the upper half [k/w, upper) takes its open end"),
+    ("src/torus_cables/torus_knots.py", "if positive and a * w < k * b:",
+     "if positive and a * w <= k * b:",
+     "thickening_outcome: the exceptional slope k/w may not sit inside its own torus"),
     ("src/torus_cables/bypass.py", "if d > 0 and lo <= 0:", "if d > 0 and lo < 0:",
      "bypass: a ruling slope on the lower neighbor is left to the fall-through"),
     ("src/torus_cables/farey.py", "return x, y, p - x, q - y", "return x, y, p - x, q - y + 1",
@@ -54,6 +60,12 @@ CATALOGUE = (
      "Branch: x one past the protection bound is accepted"),
     ("src/torus_cables/transverse.py", "merge_sl > sl_top - 2:", "merge_sl > sl_top:",
      "TransverseBranch: a branch may merge at its own top"),
+    ("src/torus_cables/transverse.py", "branch.sl_top <= tcls.max_sl - 2 * n,",
+     "branch.sl_top <= tcls.max_sl - 2,",
+     "qual4: a branch 2 below the maximum counts as 2n below"),
+    ("src/torus_cables/transverse.py",
+     "== 1\n        and count_transverse(tcls, merge + 2) > 1,", "== 1,",
+     "qual2: the merge claim passes with no live side branch above the merge"),
 )
 
 

@@ -26,8 +26,9 @@ from torus_cables.legendrian import (
     PEAK, Branch, CableSpec, Classification, Common, Generator, _peak_rots, bennequin_bound,
     classes_at, common_reachable, destabilizes, mountain_range, stabilize)
 from torus_cables.torus_knots import (
-    INFLUENCE_LOWER, INFLUENCE_UPPER, LOW_RANGE, NEGATIVE, SIMPLE_MID, TREFOIL_BAND, TorusKnotSpec,
-    exceptional_indices, exceptional_slope, influence_interval, locate, tori_census)
+    INFLUENCE_LOWER, INFLUENCE_UPPER, LOW_RANGE, NEGATIVE, NON_THICKENABLE, SIMPLE_MID,
+    THICKENS_PARTIAL, THICKENS_TO_MAX, TREFOIL_BAND, TorusKnotSpec, exceptional_indices,
+    exceptional_slope, influence_interval, locate, thickening_outcome, tori_census)
 
 
 # -- input families ------------------------------------------------------------
@@ -166,11 +167,38 @@ def _region_by_scan(spec, slope):
     bound = max(2, scaled.numerator // scaled.denominator + 2)
     for n in sorted(exceptional_indices(spec, bound)):
         iv = influence_interval(spec, n)
-        if iv.in_upper_half(slope):
+        if iv.center.value <= slope.value < iv.upper.value:  # w > 1, so upper is finite
             return INFLUENCE_UPPER, n
         if iv.lower.value < slope.value < iv.center.value:
             return INFLUENCE_LOWER, n
     return SIMPLE_MID
+
+
+# -- torus_knots.thickening_outcome --------------------------------------------
+
+@oracle_of(thickening_outcome, "T(2,3), T(2,5), T(3,4), T(2,7), T(3,5): 1/0 and slopes with "
+           "|num|, den <= 12, curve_pairs 1-3, inside_index 1-12")
+def _thickening_by_circular_order(spec, dividing, curve_pairs, k):
+    # The outcome kind with a containing torus of index k, ValueError where
+    # thickening_outcome raises.  The placements go by the circular order and
+    # Fraction comparisons, against the upper neighbor of the edge scan: the
+    # route thickening_outcome took before it compared integer neighbor terms.
+    w = spec.width
+    e_k = exceptional_slope(spec, k)
+    if dividing != e_k and not farey.ccw_strictly_between(dividing, e_k, Slope(0, 1)):
+        raise ValueError(f"{dividing} cannot sit inside a torus of slope {e_k}")
+    n_k = gcd(w, k)
+    if dividing == e_k:
+        if curve_pairs > n_k:
+            raise ValueError(f"{2 * curve_pairs} dividing curves at {e_k} are not classified")
+        return NON_THICKENABLE if curve_pairs == n_k else THICKENS_TO_MAX
+    if k == 1 or n_k > 1:
+        return THICKENS_TO_MAX
+    upper, _ = farey.neighbors_oracle(e_k, w)
+    if (dividing.is_positive() and e_k.value <= dividing.value
+            and (upper.is_infinite or dividing.value < upper.value)):
+        return THICKENS_PARTIAL
+    return THICKENS_TO_MAX
 
 
 # -- torus_knots.tori_census ---------------------------------------------------
@@ -416,7 +444,7 @@ def _replayed_claims(classes, k):
 UNPAIRED = (
     ("wait on a construction oracle for classify (ROADMAP item 6)", ("classify", "max_tb")),
     ("wait until item 6 routes that oracle through them",
-     ("divide_tb", "ruling_tb", "cable_rot", "thickening_outcome")),
+     ("divide_tb", "ruling_tb", "cable_rot")),
     ("the model's one transition rule, which the flood, the search and the replay apply",
      ("stabilize",)),
     ("plain definitions", (

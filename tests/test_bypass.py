@@ -11,7 +11,7 @@ from torus_cables.bypass import (
     attach_bypass,
     attach_bypass_oracle,
 )
-from torus_cables.farey import Slope, ccw_strictly_between, extreme_neighbors, is_edge, normalize
+from torus_cables.farey import Slope, ccw_strictly_between, is_edge, neighbor_terms, normalize
 
 from oracles import S, grid_slopes
 
@@ -94,9 +94,10 @@ def deep_family_states(draw):
     for kmax in [50] + [2] * draw(st.integers(0, 2)):
         if ruling.is_infinite:
             break
-        base = draw(st.sampled_from(extreme_neighbors(ruling)))
+        x, y, lx, ly = neighbor_terms(ruling.num, ruling.den)
+        base_num, base_den = draw(st.sampled_from([(x, y), (lx, ly)]))
         k = draw(st.integers(0, kmax))
-        ruling = normalize(base.num + k * ruling.num, base.den + k * ruling.den)
+        ruling = normalize(base_num + k * ruling.num, base_den + k * ruling.den)
     assume(ruling != dividing)
     return TorusState(dividing, ruling)
 

